@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
+#include "src/driver/corpus.h"
 #include "src/driver/pipeline.h"
 #include "src/isel/isel.h"
 #include "src/llvmir/layout_builder.h"
@@ -17,34 +21,16 @@
 namespace keq::regalloc {
 namespace {
 
-driver::FunctionReport
-validateRA(const char *source)
-{
-    llvmir::Module module = llvmir::parseModule(source);
-    llvmir::verifyModuleOrThrow(module);
-    return driver::validateRegAlloc(module, module.functions.back(), {});
-}
-
-TEST(RegAllocValidationTest, StraightLine)
-{
-    driver::FunctionReport report = validateRA(R"(
+const char *const kStraightLine = R"(
 define i32 @f(i32 %a, i32 %b) {
 entry:
   %1 = add i32 %a, %b
   %2 = xor i32 %1, %a
   ret i32 %2
 }
-)");
-    EXPECT_EQ(report.verdict.kind, checker::VerdictKind::Equivalent)
-        << report.detail;
-}
+)";
 
-TEST(RegAllocValidationTest, LoopWithSwappingPhis)
-{
-    // The classic parallel-copy hazard: phi destinations exchange
-    // values every iteration; a naive sequential copy lowering would
-    // corrupt one of them and KEQ would catch it.
-    driver::FunctionReport report = validateRA(R"(
+const char *const kSwappingPhis = R"(
 define i32 @swapsum(i32 %n) {
 entry:
   br label %head
@@ -61,14 +47,9 @@ done:
   %r = add i32 %x, %y
   ret i32 %r
 }
-)");
-    EXPECT_EQ(report.verdict.kind, checker::VerdictKind::Equivalent)
-        << report.detail;
-}
+)";
 
-TEST(RegAllocValidationTest, MemoryTraffic)
-{
-    driver::FunctionReport report = validateRA(R"(
+const char *const kMemoryTraffic = R"(
 @g = external global i32
 define i32 @f(i32 %v) {
 entry:
@@ -80,14 +61,9 @@ entry:
   store i32 %y, i32* @g
   ret i32 %y
 }
-)");
-    EXPECT_EQ(report.verdict.kind, checker::VerdictKind::Equivalent)
-        << report.detail;
-}
+)";
 
-TEST(RegAllocValidationTest, CallBoundaries)
-{
-    driver::FunctionReport report = validateRA(R"(
+const char *const kCallBoundaries = R"(
 declare i32 @ext(i32)
 define i32 @f(i32 %a, i32 %b) {
 entry:
@@ -95,12 +71,11 @@ entry:
   %s = add i32 %r, %b
   ret i32 %s
 }
-)");
-    EXPECT_EQ(report.verdict.kind, checker::VerdictKind::Equivalent)
-        << report.detail;
-}
+)";
 
-TEST(RegAllocValidationTest, PressureOverflowIsUnsupported)
+/** Twenty values live at once: more than the register file holds. */
+std::string
+pressureOverflowSource()
 {
     std::string source = "define i32 @fat(i32 %a) {\nentry:\n";
     for (int i = 0; i < 20; ++i) {
@@ -114,7 +89,77 @@ TEST(RegAllocValidationTest, PressureOverflowIsUnsupported)
                   "\n";
     }
     source += "  ret i32 %acc18\n}\n";
-    driver::FunctionReport report = validateRA(source.c_str());
+    return source;
+}
+
+const char *const kCorpusSample = R"(
+define i32 @a(i32 %p0, i32 %p1, i32 %p2) {
+entry:
+  %1 = add i32 %p0, %p1
+  %c = icmp slt i32 %1, %p2
+  br i1 %c, label %t, label %e
+t:
+  br label %j
+e:
+  br label %j
+j:
+  %m = phi i32 [ %1, %t ], [ %p2, %e ]
+  ret i32 %m
+}
+define i32 @b(i32 %p0) {
+entry:
+  %q = udiv i32 %p0, 3
+  %r = urem i32 %q, 7
+  ret i32 %r
+}
+)";
+
+/** Figure 6 corpus functions in the RA golden. */
+constexpr size_t kGoldenCorpusFunctions = 48;
+
+driver::FunctionReport
+validateRA(const char *source)
+{
+    llvmir::Module module = llvmir::parseModule(source);
+    llvmir::verifyModuleOrThrow(module);
+    return driver::validateRegAlloc(module, module.functions.back(), {});
+}
+
+TEST(RegAllocValidationTest, StraightLine)
+{
+    driver::FunctionReport report = validateRA(kStraightLine);
+    EXPECT_EQ(report.verdict.kind, checker::VerdictKind::Equivalent)
+        << report.detail;
+}
+
+TEST(RegAllocValidationTest, LoopWithSwappingPhis)
+{
+    // The classic parallel-copy hazard: phi destinations exchange
+    // values every iteration; a naive sequential copy lowering would
+    // corrupt one of them and KEQ would catch it.
+    driver::FunctionReport report = validateRA(kSwappingPhis);
+    EXPECT_EQ(report.verdict.kind, checker::VerdictKind::Equivalent)
+        << report.detail;
+}
+
+TEST(RegAllocValidationTest, MemoryTraffic)
+{
+    driver::FunctionReport report = validateRA(kMemoryTraffic);
+    EXPECT_EQ(report.verdict.kind, checker::VerdictKind::Equivalent)
+        << report.detail;
+}
+
+TEST(RegAllocValidationTest, CallBoundaries)
+{
+    driver::FunctionReport report = validateRA(kCallBoundaries);
+    EXPECT_EQ(report.verdict.kind, checker::VerdictKind::Equivalent)
+        << report.detail;
+}
+
+TEST(RegAllocValidationTest, PressureOverflowIsUnsupported)
+{
+    driver::FunctionReport report =
+        validateRA(pressureOverflowSource().c_str());
     EXPECT_EQ(report.outcome, driver::Outcome::Unsupported);
 }
 
@@ -191,28 +236,7 @@ TEST(RegAllocValidationTest, CorpusSample)
 {
     // A slice of corpus functions whose pressure fits the register file
     // must all validate (same-language pair, same unchanged checker).
-    const char *source = R"(
-define i32 @a(i32 %p0, i32 %p1, i32 %p2) {
-entry:
-  %1 = add i32 %p0, %p1
-  %c = icmp slt i32 %1, %p2
-  br i1 %c, label %t, label %e
-t:
-  br label %j
-e:
-  br label %j
-j:
-  %m = phi i32 [ %1, %t ], [ %p2, %e ]
-  ret i32 %m
-}
-define i32 @b(i32 %p0) {
-entry:
-  %q = udiv i32 %p0, 3
-  %r = urem i32 %q, 7
-  ret i32 %r
-}
-)";
-    llvmir::Module module = llvmir::parseModule(source);
+    llvmir::Module module = llvmir::parseModule(kCorpusSample);
     llvmir::verifyModuleOrThrow(module);
     for (const llvmir::Function &fn : module.functions) {
         driver::FunctionReport report =
@@ -220,6 +244,43 @@ entry:
         EXPECT_EQ(report.outcome, driver::Outcome::Succeeded)
             << fn.name << ": " << report.detail;
     }
+}
+
+/**
+ * Byte-identity gate for RA validation: the canonical summary of every
+ * case above, plus a slice of the Figure 6 corpus (which reaches the
+ * solver), must match the lines pinned in ra_golden.txt. Verdicts, failure kinds,
+ * query/step/pair counts and details are all part of the pin.
+ */
+TEST(RegAllocValidationTest, CanonicalSummariesMatchGolden)
+{
+    std::string summary;
+    auto add_module = [&](const std::string &source) {
+        llvmir::Module module = llvmir::parseModule(source);
+        llvmir::verifyModuleOrThrow(module);
+        for (const llvmir::Function &fn : module.functions) {
+            if (fn.isDeclaration())
+                continue;
+            summary += driver::validateRegAlloc(module, fn, {})
+                           .canonicalSummary() +
+                       "\n";
+        }
+    };
+    for (const char *source : {kStraightLine, kSwappingPhis,
+                               kMemoryTraffic, kCallBoundaries,
+                               kCorpusSample})
+        add_module(source);
+    add_module(pressureOverflowSource());
+    driver::CorpusOptions corpus;
+    corpus.seed = 0x6cc2006;
+    corpus.functionCount = kGoldenCorpusFunctions;
+    add_module(driver::generateCorpusSource(corpus));
+
+    std::ifstream golden(KEQ_RA_GOLDEN);
+    ASSERT_TRUE(golden) << "missing " << KEQ_RA_GOLDEN;
+    std::stringstream expected;
+    expected << golden.rdbuf();
+    EXPECT_EQ(summary, expected.str());
 }
 
 } // namespace
