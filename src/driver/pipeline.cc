@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -12,11 +11,8 @@
 #include "src/llvmir/symbolic_semantics.h"
 #include "src/llvmir/verifier.h"
 #include "src/memory/layout.h"
-#include "src/smt/guarded_solver.h"
-#include "src/smt/incremental_z3_solver.h"
-#include "src/smt/portfolio_solver.h"
+#include "src/smt/solver_stack.h"
 #include "src/smt/term_factory.h"
-#include "src/smt/z3_solver.h"
 #include "src/support/diagnostics.h"
 #include "src/support/journal.h"
 #include "src/support/stopwatch.h"
@@ -110,260 +106,145 @@ ModuleReport::canonicalSummary() const
 namespace {
 
 /**
- * VC generation + KEQ checking for one (LLVM, Virtual x86) pair whose
- * machine side has already been produced — by this pipeline's ISel, or
- * by the fuzz mutation engine. Creates every non-thread-safe component
- * (factory, semantics, Z3) locally so concurrent invocations share
- * nothing but the optional query cache.
- *
- * @param exec Solver-stack configuration; nullptr selects the plain
- *             cold-start Z3 backend with no preprocessing (the free
- *             validateFunction entry points, used as the unoptimized
- *             reference stack by tests and benches).
- * @param sandbox Non-null routes every query to the out-of-process
- *             worker pool: the backend becomes a SandboxSolver, the
- *             cache front stays in the parent, and the in-process
- *             injector/guard layers are skipped (the worker runs its
- *             own guard; the supervisor enforces heartbeat deadlines
- *             and classifies worker death).
+ * How one validation gets its solver stack. The default value is the
+ * reference stack (plain cold Z3), used by the free entry points and
+ * by register-allocation validation.
  */
+struct StackRequest
+{
+    smt::SolverStackSpec spec;
+    /** Set when the Pipeline's lane roster did not parse: every
+     *  function then ends Unsupported with this message. */
+    std::string rosterError;
+    support::CancellationToken cancel;
+    unsigned memoryBudgetMb = 0;
+};
+
+/**
+ * The language-parametric half of validation, shared by ISel
+ * (LLVM x Virtual x86) and register allocation (Virtual x86 x Virtual
+ * x86): given the two programs of a pair and its sync points, set up
+ * factory and layout, build the stack, run KEQ and map the verdict to
+ * an outcome. Every non-thread-safe component is created here, so
+ * concurrent invocations share nothing but the optional query cache.
+ */
+template <class SemA, class SemB, class ProgramA, class ProgramB>
+void
+checkPair(FunctionReport &report, const llvmir::Module &module,
+          const ProgramA &program_a, const ProgramB &program_b,
+          const vcgen::VcResult &vc, const PipelineOptions &options,
+          const StackRequest &request)
+{
+    report.syncPointCount = vc.points.points.size();
+    report.specTextSize = vc.points.specTextSize();
+    if (options.specSizeBudget > 0 &&
+        report.specTextSize > options.specSizeBudget) {
+        report.outcome = Outcome::OutOfMemory;
+        report.detail = "sync-point specification exceeds the parse "
+                        "memory budget (" +
+                        std::to_string(report.specTextSize) + " chars)";
+        return;
+    }
+
+    smt::TermFactory factory;
+    mem::MemoryLayout layout;
+    llvmir::populateLayout(module, layout);
+    SemA sem_a(program_a, factory, layout);
+    SemB sem_b(program_b, factory, layout);
+    if (!request.rosterError.empty())
+        throw support::Error("invalid portfolio lane spec: " +
+                             request.rosterError);
+    smt::SolverStack stack = smt::buildSolverStack(factory, request.spec);
+    smt::Solver &solver = *stack.top;
+    if (request.memoryBudgetMb > 0)
+        solver.setMemoryBudgetMb(request.memoryBudgetMb);
+
+    checker::CheckerConfig checker_config = options.checker;
+    if (request.cancel.valid())
+        checker_config.cancel = request.cancel;
+    sem::IselAcceptability acceptability;
+    checker::Checker checker(sem_a, sem_b, acceptability, solver,
+                             checker_config);
+    const std::string &name = report.function;
+    report.verdict = checker.check(name, name, vc.points);
+
+    switch (report.verdict.kind) {
+      case checker::VerdictKind::Equivalent:
+      case checker::VerdictKind::Refines:
+        report.outcome = Outcome::Succeeded;
+        break;
+      case checker::VerdictKind::Timeout:
+        report.outcome = Outcome::Timeout;
+        break;
+      case checker::VerdictKind::OutOfMemory:
+        report.outcome = Outcome::OutOfMemory;
+        break;
+      case checker::VerdictKind::NotValidated:
+        report.outcome = Outcome::Other;
+        break;
+    }
+    report.detail = report.verdict.reason;
+    if (!vc.adequate && report.outcome == Outcome::Other) {
+        report.detail += " [VC generator warnings: " +
+                         std::to_string(vc.warnings.size()) + "]";
+    }
+}
+
+/**
+ * Runs one caller's pair construction (@p build: lowering, VC
+ * generation, then checkPair) with the shared bookkeeping: report
+ * identity, timing, and support::Error -> Unsupported.
+ */
+template <class Build>
 FunctionReport
-validatePairImpl(const llvmir::Module &module, const llvmir::Function &fn,
-                 vx86::MFunction mfn, const isel::FunctionHints &hints,
-                 const PipelineOptions &options,
-                 const std::shared_ptr<smt::QueryCache> &cache,
-                 const ExecutionOptions *exec,
-                 smt::WorkerSupervisor *sandbox,
-                 smt::SolverStats *solver_stats)
+validatePair(const llvmir::Function &fn, Build build)
 {
     FunctionReport report;
     report.function = fn.name;
     report.llvmInstructions = fn.instructionCount();
     support::Stopwatch watch;
-
     try {
-        report.x86Instructions = mfn.instructionCount();
-
-        // 2. Verification condition generation.
-        vcgen::VcResult vc =
-            vcgen::generateSyncPoints(fn, mfn, hints, options.vc);
-        report.syncPointCount = vc.points.points.size();
-        report.specTextSize = vc.points.specTextSize();
-        if (options.specSizeBudget > 0 &&
-            report.specTextSize > options.specSizeBudget) {
-            report.outcome = Outcome::OutOfMemory;
-            report.detail = "sync-point specification exceeds the parse "
-                            "memory budget (" +
-                            std::to_string(report.specTextSize) +
-                            " chars)";
-            report.seconds = watch.seconds();
-            return report;
-        }
-
-        // 3. KEQ equivalence checking.
-        smt::TermFactory factory;
-        mem::MemoryLayout layout;
-        llvmir::populateLayout(module, layout);
-        llvmir::SymbolicSemantics sem_a(module, factory, layout);
-        vx86::MModule mmodule;
-        mmodule.functions.push_back(std::move(mfn));
-        vx86::SymbolicSemantics sem_b(mmodule, factory, layout);
-        // Portfolio lane roster: an explicit spec wins, then the lane
-        // count; a single default lane keeps the pre-portfolio stack
-        // byte-identical. A malformed spec throws support::Error and
-        // lands in the Unsupported catch below.
-        std::vector<smt::LaneConfig> lanes;
-        if (exec != nullptr) {
-            if (!exec->portfolioLaneSpec.empty()) {
-                std::string laneError;
-                if (!smt::parsePortfolioLanes(exec->portfolioLaneSpec,
-                                              lanes, laneError)) {
-                    throw support::Error("invalid portfolio lane spec: " +
-                                         laneError);
-                }
-            } else if (exec->portfolioLanes > 1) {
-                lanes = smt::defaultPortfolioLanes(exec->portfolioLanes);
-            }
-        }
-
-        std::unique_ptr<smt::Solver> backend;
-        if (sandbox != nullptr) {
-            // Sandboxed portfolio: one worker per lane, raced by the
-            // supervisor; lane entries travel as ResetFrame strategies.
-            std::vector<std::string> laneSpecs;
-            if (exec != nullptr && !exec->portfolioLaneSpec.empty())
-                laneSpecs =
-                    support::split(exec->portfolioLaneSpec, ',');
-            else
-                for (const smt::LaneConfig &lane : lanes)
-                    laneSpecs.push_back(lane.name);
-            backend = std::make_unique<smt::SandboxSolver>(
-                factory, *sandbox, std::move(laneSpecs));
-            if (exec != nullptr && exec->deadlineMs > 0)
-                backend->setTimeoutMs(exec->deadlineMs);
-        } else if (lanes.size() > 1) {
-            backend = std::make_unique<smt::PortfolioSolver>(
-                factory, std::move(lanes));
-        } else if (lanes.size() == 1) {
-            // One explicit lane: no race, but honor its tuning.
-            backend = smt::makeLaneBackend(factory, lanes.front());
-        } else if (exec != nullptr && exec->incrementalSolver) {
-            backend = std::make_unique<smt::IncrementalZ3Solver>(factory);
-        } else {
-            backend = std::make_unique<smt::Z3Solver>(factory);
-        }
-        std::optional<smt::CachingSolver> caching;
-        smt::Solver *solver = backend.get();
-        if (cache != nullptr) {
-            smt::CachingSolver::Options stack;
-            stack.simplify = exec != nullptr && exec->simplifyQueries;
-            stack.slice = exec != nullptr && exec->sliceQueries;
-            if (exec != nullptr && exec->auditRate > 0.0) {
-                // Trust-but-verify: sample journal-preloaded hits and
-                // recheck them against a pristine solver before
-                // serving. The pristine rung mirrors GuardedSolver's
-                // terminal rung — a fresh cold Z3 with no preprocessing
-                // shared with the stack under audit.
-                stack.auditRate = exec->auditRate;
-                stack.auditSeed = exec->auditSeed;
-                stack.auditSolverFactory =
-                    [](smt::TermFactory &f) -> std::unique_ptr<smt::Solver> {
-                    return std::make_unique<smt::Z3Solver>(f);
-                };
-                stack.onAuditMismatch = exec->onAuditMismatch;
-            }
-            caching.emplace(factory, *backend, cache, stack);
-            solver = &*caching;
-        }
-
-        // Chaos testing: the injector sits *above* the optimized stack
-        // (and below the guard), so injected misbehavior exercises the
-        // retry/escalation machinery without ever reaching the cache's
-        // stored verdicts. The per-function plan is derived from the
-        // function name, not the scheduling order, so serial and
-        // parallel chaos runs draw identical fault schedules.
-        smt::FaultPlan plan;
-        if (exec != nullptr && sandbox == nullptr)
-            plan = exec->faults.derive(support::fnv1a64(fn.name));
-        std::optional<smt::FaultInjectingSolver> injector;
-        if (plan.enabled()) {
-            injector.emplace(factory, *solver, plan);
-            solver = &*injector;
-        }
-
-        // Fault-tolerant front: watchdog deadline + escalation ladder.
-        // Rung 1 is a fresh cold solver on the raw (unpreprocessed)
-        // query — still fault-injected under chaos; rung 2 is pristine,
-        // which is what makes chaos verdicts converge to clean ones.
-        // In sandbox mode the guard lives inside the worker process
-        // (watchdog + escalation next to the solver it protects), so the
-        // parent adds no second guard — the supervisor's heartbeat
-        // deadline and death classification are the parent-side
-        // containment.
-        std::optional<smt::GuardedSolver> guarded;
-        if (exec != nullptr && sandbox == nullptr) {
-            smt::GuardedSolverOptions guard;
-            guard.deadlineMs = exec->deadlineMs;
-            guard.retries = exec->solverRetries;
-            guard.cancel = exec->cancel;
-            smt::FaultPlan rung1_plan = plan.derive(1);
-            std::vector<smt::GuardedSolver::RungFactory> rungs;
-            rungs.push_back(
-                [&factory, rung1_plan]() -> std::unique_ptr<smt::Solver> {
-                    std::unique_ptr<smt::Solver> fresh =
-                        std::make_unique<smt::Z3Solver>(factory);
-                    if (rung1_plan.enabled()) {
-                        return std::make_unique<
-                            smt::FaultInjectingSolver>(
-                            factory, std::move(fresh), rung1_plan);
-                    }
-                    return fresh;
-                });
-            rungs.push_back(
-                [&factory]() -> std::unique_ptr<smt::Solver> {
-                    return std::make_unique<smt::Z3Solver>(factory);
-                });
-            guarded.emplace(factory, *solver, std::move(rungs), guard);
-            solver = &*guarded;
-            if (exec->solverMemoryMb > 0)
-                solver->setMemoryBudgetMb(exec->solverMemoryMb);
-        }
-
-        checker::CheckerConfig checker_config = options.checker;
-        if (exec != nullptr && exec->cancel.valid())
-            checker_config.cancel = exec->cancel;
-        sem::IselAcceptability acceptability;
-        checker::Checker checker(sem_a, sem_b, acceptability, *solver,
-                                 checker_config);
-        report.verdict = checker.check(fn.name, fn.name, vc.points);
-        if (solver_stats != nullptr) {
-            *solver_stats = solver->stats();
-            // Batching is attributed by the checker (no solver layer
-            // can see which queries shared a session), so the module
-            // aggregate picks it up from the verdict delta.
-            solver_stats->batchedQueries =
-                report.verdict.stats.solverStats.batchedQueries;
-        }
-
-        switch (report.verdict.kind) {
-          case checker::VerdictKind::Equivalent:
-          case checker::VerdictKind::Refines:
-            report.outcome = Outcome::Succeeded;
-            break;
-          case checker::VerdictKind::Timeout:
-            report.outcome = Outcome::Timeout;
-            break;
-          case checker::VerdictKind::OutOfMemory:
-            report.outcome = Outcome::OutOfMemory;
-            break;
-          case checker::VerdictKind::NotValidated:
-            report.outcome = Outcome::Other;
-            break;
-        }
-        report.detail = report.verdict.reason;
-        if (!vc.adequate && report.outcome == Outcome::Other) {
-            report.detail +=
-                " [VC generator warnings: " +
-                std::to_string(vc.warnings.size()) + "]";
-        }
+        build(report);
     } catch (const support::Error &error) {
         report.outcome = Outcome::Unsupported;
         report.detail = error.what();
     }
-
     report.seconds = watch.seconds();
     return report;
 }
 
-/**
- * The per-function unit of work including the ISel stage: lower, then
- * validate the resulting pair.
- */
+/** ISel's half: VC generation for an (LLVM, Virtual x86) pair whose
+ *  machine side exists already — from ISel or the fuzz mutator. */
+void
+checkIselPair(FunctionReport &report, const llvmir::Module &module,
+              const llvmir::Function &fn, vx86::MFunction mfn,
+              const isel::FunctionHints &hints,
+              const PipelineOptions &options, const StackRequest &request)
+{
+    report.x86Instructions = mfn.instructionCount();
+    vcgen::VcResult vc =
+        vcgen::generateSyncPoints(fn, mfn, hints, options.vc);
+    vx86::MModule mmodule;
+    mmodule.functions.push_back(std::move(mfn));
+    checkPair<llvmir::SymbolicSemantics, vx86::SymbolicSemantics>(
+        report, module, module, mmodule, vc, options, request);
+}
+
+/** Lower with ISel (unsupported constructs surface here, before any
+ *  pair exists), then validate the pair. */
 FunctionReport
 validateFunctionImpl(const llvmir::Module &module,
                      const llvmir::Function &fn,
                      const PipelineOptions &options,
-                     const std::shared_ptr<smt::QueryCache> &cache,
-                     const ExecutionOptions *exec,
-                     smt::WorkerSupervisor *sandbox,
-                     smt::SolverStats *solver_stats)
+                     const StackRequest &request)
 {
-    // 1. Instruction Selection with hint generation. Unsupported
-    // constructs surface here, before any pair exists.
-    isel::FunctionHints hints;
-    vx86::MFunction mfn;
-    try {
-        mfn = isel::lowerFunction(module, fn, options.isel, hints);
-    } catch (const support::Error &error) {
-        FunctionReport report;
-        report.function = fn.name;
-        report.llvmInstructions = fn.instructionCount();
-        report.outcome = Outcome::Unsupported;
-        report.detail = error.what();
-        return report;
-    }
-    return validatePairImpl(module, fn, std::move(mfn), hints, options,
-                            cache, exec, sandbox, solver_stats);
+    return validatePair(fn, [&](FunctionReport &report) {
+        isel::FunctionHints hints;
+        vx86::MFunction mfn =
+            isel::lowerFunction(module, fn, options.isel, hints);
+        checkIselPair(report, module, fn, std::move(mfn), hints, options,
+                      request);
+    });
 }
 
 std::vector<const llvmir::Function *>
@@ -383,8 +264,7 @@ FunctionReport
 validateFunction(const llvmir::Module &module, const llvmir::Function &fn,
                  const PipelineOptions &options)
 {
-    return validateFunctionImpl(module, fn, options, nullptr, nullptr,
-                                nullptr, nullptr);
+    return validateFunctionImpl(module, fn, options, {});
 }
 
 FunctionReport
@@ -393,70 +273,32 @@ validateFunctionPair(const llvmir::Module &module,
                      const isel::FunctionHints &hints,
                      const PipelineOptions &options)
 {
-    return validatePairImpl(module, fn, std::move(mfn), hints, options,
-                            nullptr, nullptr, nullptr, nullptr);
+    return validatePair(fn, [&](FunctionReport &report) {
+        checkIselPair(report, module, fn, std::move(mfn), hints, options,
+                      {});
+    });
 }
 
 FunctionReport
 validateRegAlloc(const llvmir::Module &module, const llvmir::Function &fn,
                  const PipelineOptions &options)
 {
-    FunctionReport report;
-    report.function = fn.name;
-    report.llvmInstructions = fn.instructionCount();
-    support::Stopwatch watch;
-
-    try {
+    return validatePair(fn, [&](FunctionReport &report) {
         isel::FunctionHints hints;
         vx86::MFunction pre =
             isel::lowerFunction(module, fn, options.isel, hints);
         regalloc::AllocationResult allocation =
             regalloc::allocateRegisters(pre);
         report.x86Instructions = allocation.fn.instructionCount();
-
         vcgen::VcResult vc =
             vcgen::generateRegAllocSyncPoints(pre, allocation);
-        report.syncPointCount = vc.points.points.size();
-        report.specTextSize = vc.points.specTextSize();
-
-        smt::TermFactory factory;
-        mem::MemoryLayout layout;
-        llvmir::populateLayout(module, layout);
         vx86::MModule pre_module;
         pre_module.functions.push_back(std::move(pre));
         vx86::MModule post_module;
         post_module.functions.push_back(std::move(allocation.fn));
-        vx86::SymbolicSemantics sem_a(pre_module, factory, layout);
-        vx86::SymbolicSemantics sem_b(post_module, factory, layout);
-        smt::Z3Solver solver(factory);
-        sem::IselAcceptability acceptability;
-        checker::Checker checker(sem_a, sem_b, acceptability, solver,
-                                 options.checker);
-        report.verdict = checker.check(fn.name, fn.name, vc.points);
-
-        switch (report.verdict.kind) {
-          case checker::VerdictKind::Equivalent:
-          case checker::VerdictKind::Refines:
-            report.outcome = Outcome::Succeeded;
-            break;
-          case checker::VerdictKind::Timeout:
-            report.outcome = Outcome::Timeout;
-            break;
-          case checker::VerdictKind::OutOfMemory:
-            report.outcome = Outcome::OutOfMemory;
-            break;
-          case checker::VerdictKind::NotValidated:
-            report.outcome = Outcome::Other;
-            break;
-        }
-        report.detail = report.verdict.reason;
-    } catch (const support::Error &error) {
-        report.outcome = Outcome::Unsupported;
-        report.detail = error.what();
-    }
-
-    report.seconds = watch.seconds();
-    return report;
+        checkPair<vx86::SymbolicSemantics, vx86::SymbolicSemantics>(
+            report, module, pre_module, post_module, vc, options, {});
+    });
 }
 
 // --- Pipeline ------------------------------------------------------------
@@ -480,21 +322,29 @@ Pipeline::Pipeline(PipelineOptions options, ExecutionOptions exec)
         cache_ = exec_.externalCache;
     else if (exec_.solverCache && exec_.sharedCache)
         cache_ = makeQueryCache(exec_);
-}
 
-FunctionReport
-Pipeline::validateFunction(const llvmir::Module &module,
-                           const llvmir::Function &fn)
-{
-    std::shared_ptr<smt::QueryCache> cache = cache_;
-    if (exec_.externalCache == nullptr && exec_.solverCache &&
-        !exec_.sharedCache)
-        cache = makeQueryCache(exec_);
-    smt::SolverStats stats;
-    FunctionReport report =
-        validateFunctionImpl(module, fn, options_, cache, &exec_,
-                             sandboxSupervisor(1), &stats);
-    return report;
+    // Portfolio lane roster: an explicit spec wins, then the lane
+    // count; no lanes keeps the pre-portfolio stack byte-identical.
+    // Sandbox workers receive the spec's entries verbatim.
+    if (!exec_.portfolioLaneSpec.empty()) {
+        if (smt::parsePortfolioLanes(exec_.portfolioLaneSpec, spec_.lanes,
+                                     rosterError_))
+            spec_.laneEntries =
+                support::split(exec_.portfolioLaneSpec, ',');
+    } else if (exec_.portfolioLanes > 1) {
+        spec_.lanes = smt::defaultPortfolioLanes(exec_.portfolioLanes);
+        for (const smt::LaneConfig &lane : spec_.lanes)
+            spec_.laneEntries.push_back(lane.name);
+    }
+    spec_.incremental = exec_.incrementalSolver;
+    spec_.caching.simplify = exec_.simplifyQueries;
+    spec_.caching.slice = exec_.sliceQueries;
+    spec_.caching.auditRate = exec_.auditRate;
+    spec_.caching.auditSeed = exec_.auditSeed;
+    spec_.caching.onAuditMismatch = exec_.onAuditMismatch;
+    spec_.guard.emplace();
+    spec_.guard->retries = exec_.solverRetries;
+    spec_.guard->cancel = exec_.cancel;
 }
 
 FunctionReport
@@ -502,26 +352,26 @@ Pipeline::validateFunction(const llvmir::Module &module,
                            const llvmir::Function &fn,
                            unsigned deadlineMsCap)
 {
-    // Effective deadline = the tighter of the configured one and the
-    // caller's cap (the daemon passes each job's *remaining* wall
-    // budget here). Equal-or-looser caps take the plain path so the
-    // common case stays zero-copy.
-    unsigned effective = exec_.deadlineMs;
+    StackRequest request{.spec = spec_,
+                         .rosterError = rosterError_,
+                         .cancel = exec_.cancel,
+                         .memoryBudgetMb = exec_.solverMemoryMb};
+    smt::SolverStackSpec &spec = request.spec;
+    spec.sandbox = sandboxSupervisor(1);
+    // Caching without a shared cache: this function gets its own.
+    spec.cache = cache_ == nullptr && exec_.solverCache
+                     ? makeQueryCache(exec_)
+                     : cache_;
+    // Derived from the function name, not the scheduling order, so
+    // serial and parallel chaos runs draw identical fault schedules.
+    spec.faults = exec_.faults.derive(support::fnv1a64(fn.name));
+    // The tighter of the configured deadline and the caller's cap (the
+    // daemon passes each job's *remaining* wall budget here).
+    spec.guard->deadlineMs = exec_.deadlineMs;
     if (deadlineMsCap > 0 &&
-        (effective == 0 || deadlineMsCap < effective))
-        effective = deadlineMsCap;
-    if (effective == exec_.deadlineMs)
-        return validateFunction(module, fn);
-
-    std::shared_ptr<smt::QueryCache> cache = cache_;
-    if (exec_.externalCache == nullptr && exec_.solverCache &&
-        !exec_.sharedCache)
-        cache = makeQueryCache(exec_);
-    ExecutionOptions exec = exec_;
-    exec.deadlineMs = effective;
-    smt::SolverStats stats;
-    return validateFunctionImpl(module, fn, options_, cache, &exec,
-                                sandboxSupervisor(1), &stats);
+        (exec_.deadlineMs == 0 || deadlineMsCap < exec_.deadlineMs))
+        spec.guard->deadlineMs = deadlineMsCap;
+    return validateFunctionImpl(module, fn, options_, request);
 }
 
 smt::WorkerSupervisor *
@@ -536,24 +386,13 @@ Pipeline::sandboxSupervisor(unsigned workers)
     // portfolio lane (solveGroup's atomic multi-slot lease), so the
     // default pool is jobs x lanes; an undersized explicit pool still
     // works — the race just degrades to fewer lanes.
-    unsigned lanes = 1;
-    if (!exec_.portfolioLaneSpec.empty()) {
-        std::vector<smt::LaneConfig> configs;
-        std::string laneError;
-        if (smt::parsePortfolioLanes(exec_.portfolioLaneSpec, configs,
-                                     laneError))
-            lanes = static_cast<unsigned>(configs.size());
-    } else if (exec_.portfolioLanes > 1) {
-        lanes = std::min<unsigned>(
-            exec_.portfolioLanes,
-            static_cast<unsigned>(smt::SolverStats::kPortfolioMaxLanes));
-    }
+    unsigned lanes = std::max<unsigned>(spec_.lanes.size(), 1);
     smt::SandboxOptions sandbox;
     sandbox.workerPath = exec_.workerPath;
     sandbox.workers =
         exec_.sandboxWorkers > 0
             ? exec_.sandboxWorkers
-            : std::max<unsigned>(workers, 1) * std::max(lanes, 1u);
+            : std::max<unsigned>(workers, 1) * lanes;
     sandbox.workerMemoryMb = exec_.workerMemoryMb;
     sandbox.memoryBudgetMb = exec_.solverMemoryMb;
     sandbox.chaosKillRate = exec_.sandboxChaosKillRate;
@@ -601,7 +440,6 @@ Pipeline::runWithJobs(const llvmir::Module &module, unsigned jobs)
 
     ModuleReport report;
     report.functions.resize(functions.size());
-    std::vector<smt::SolverStats> per_function(functions.size());
 
     // Crash-safe checkpointing: restore decided verdicts up front, then
     // journal each fresh verdict as it lands. The decided map is frozen
@@ -644,9 +482,9 @@ Pipeline::runWithJobs(const llvmir::Module &module, unsigned jobs)
          static_cast<unsigned>(
              std::max<size_t>(functions.size(), 1))});
 
-    // Resolve the sandbox before fanning out so the degradation warning
-    // prints once, not once per task.
-    smt::WorkerSupervisor *sandbox = sandboxSupervisor(workers);
+    // Start the sandbox pool (sized for the workers) before fanning out,
+    // so the degradation warning prints once, not once per task.
+    sandboxSupervisor(workers);
 
     auto validate_one = [&](size_t index) {
         const llvmir::Function &fn = *functions[index];
@@ -669,13 +507,7 @@ Pipeline::runWithJobs(const llvmir::Module &module, unsigned jobs)
             out.detail = "cancelled";
             return;
         }
-        std::shared_ptr<smt::QueryCache> cache = cache_;
-        if (exec_.externalCache == nullptr && exec_.solverCache &&
-            !exec_.sharedCache)
-            cache = makeQueryCache(exec_);
-        report.functions[index] =
-            validateFunctionImpl(module, fn, options_, cache, &exec_,
-                                 sandbox, &per_function[index]);
+        report.functions[index] = validateFunction(module, fn);
         if (journal != nullptr)
             journal->record(report.functions[index]);
     };
@@ -689,8 +521,8 @@ Pipeline::runWithJobs(const llvmir::Module &module, unsigned jobs)
     }
 
     // Merge in deterministic input order (not completion order).
-    for (const smt::SolverStats &stats : per_function)
-        report.solverStats += stats;
+    for (const FunctionReport &fn : report.functions)
+        report.solverStats += fn.verdict.stats.solverStats;
     report.resumedFunctions = 0;
     for (const llvmir::Function *fn : functions) {
         if (decided.count(fn->name) != 0)

@@ -35,6 +35,7 @@
 #include "src/smt/caching_solver.h"
 #include "src/smt/fault_injection.h"
 #include "src/smt/sandbox.h"
+#include "src/smt/solver_stack.h"
 #include "src/support/cancellation.h"
 #include "src/support/journal.h"
 #include "src/vcgen/vcgen.h"
@@ -284,12 +285,9 @@ class Pipeline
     ModuleReport runParallel(const llvmir::Module &module);
     ModuleReport runParallel(const llvmir::Module &module, unsigned jobs);
 
-    /** Validates one function through this Pipeline's cache. */
-    FunctionReport validateFunction(const llvmir::Module &module,
-                                    const llvmir::Function &fn);
-
     /**
-     * Same, but with a per-call wall-deadline cap in milliseconds: the
+     * Validates one function through this Pipeline's cache, with an
+     * optional per-call wall-deadline cap in milliseconds: the
      * effective watchdog deadline is the tighter of @p deadlineMsCap
      * and the configured ExecutionOptions::deadlineMs (0 = no cap).
      * The daemon uses this to propagate each job's *remaining* wall
@@ -298,7 +296,7 @@ class Pipeline
      */
     FunctionReport validateFunction(const llvmir::Module &module,
                                     const llvmir::Function &fn,
-                                    unsigned deadlineMsCap);
+                                    unsigned deadlineMsCap = 0);
 
     const PipelineOptions &options() const { return options_; }
     const ExecutionOptions &execution() const { return exec_; }
@@ -322,6 +320,11 @@ class Pipeline
     PipelineOptions options_;
     ExecutionOptions exec_;
     std::shared_ptr<smt::QueryCache> cache_;
+    /** The stack every function shares, resolved from exec_ once;
+     *  validateFunction adds sandbox, cache, fault plan and deadline. */
+    smt::SolverStackSpec spec_;
+    /** Why exec_.portfolioLaneSpec did not parse; empty when it did. */
+    std::string rosterError_;
     std::unique_ptr<smt::WorkerSupervisor> supervisor_;
     bool sandboxDegraded_ = false;
 };

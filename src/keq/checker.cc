@@ -191,6 +191,17 @@ class Run
                                          : kind;
     }
 
+    /** Aborts the run on the solver's latest Unknown, classified. */
+    [[noreturn]] void
+    abortOnUnknown(const char *during)
+    {
+        FailureKind failure = unknownFailure();
+        throw BudgetExceeded{verdictKindFor(failure), failure,
+                             std::string("solver returned unknown ") +
+                                 during + " (" + failureKindName(failure) +
+                                 ")"};
+    }
+
     // --- solver helpers ------------------------------------------------------
 
     /**
@@ -199,9 +210,16 @@ class Run
      * timeout) must never excuse anything — we abort with a Timeout
      * verdict instead of silently passing, keeping the checker
      * fail-closed.
+     *
+     * @param possibly Conservative mode for "may this be reachable?":
+     *        an unclassified Unknown (honest incompleteness) counts as
+     *        sat. A classified one (a timeout, a killed worker) is no
+     *        evidence either way and still aborts — counting it as sat
+     *        would report a weaker verdict than a clean run's with
+     *        fail=none.
      */
     bool
-    isSat(Term condition)
+    isSat(Term condition, bool possibly = false)
     {
         checkBudgets();
         if (condition.isTrue())
@@ -213,34 +231,44 @@ class Run
             return true;
           case SatResult::Unsat:
             return false;
-          case SatResult::Unknown: {
-            FailureKind failure = unknownFailure();
-            throw BudgetExceeded{
-                verdictKindFor(failure), failure,
-                "solver returned unknown on a feasibility check (" +
-                    std::string(failureKindName(failure)) + ")"};
-          }
+          case SatResult::Unknown:
+            if (possibly && solver_.lastFailureKind() == FailureKind::None)
+                return true;
+            abortOnUnknown("on a feasibility check");
         }
         return true;
     }
 
-    /** Conservative satisfiability: Unknown counts as "possibly sat". */
+    /**
+     * Runs one proof attempt. A solver that fails to decide fails just
+     * the attempt, and proof search moves on (a weaker hypothesis, the
+     * next candidate point). An Unknown because the sandbox lost the
+     * worker under the query (a death or a missed heartbeat deadline)
+     * is different: moving on would make the outcome depend on where a
+     * kill landed, so the run aborts with the query's classification.
+     */
+    template <class Attempt>
     bool
-    possiblySat(Term condition)
+    attemptProof(Attempt attempt)
     {
-        checkBudgets();
-        if (condition.isTrue())
-            return true;
-        if (condition.isFalse())
-            return false;
-        return solver_.checkSat({condition}) != SatResult::Unsat;
+        const smt::SolverStats &stats = solver_.stats();
+        uint64_t unknowns_before = stats.unknown;
+        uint64_t losses_before =
+            stats.workerCrashes + stats.heartbeatTimeouts;
+        bool proven = attempt();
+        if (stats.unknown > unknowns_before &&
+            stats.workerCrashes + stats.heartbeatTimeouts > losses_before)
+            abortOnUnknown("while discharging obligations");
+        return proven;
     }
 
     bool
     proveImplication(Term hypothesis, Term conclusion)
     {
         checkBudgets();
-        return solver_.proveImplication(hypothesis, conclusion);
+        return attemptProof([&] {
+            return solver_.proveImplication(hypothesis, conclusion);
+        });
     }
 
     /**
@@ -256,9 +284,10 @@ class Run
     {
         checkBudgets();
         if (!config_.batchDischarge)
-            return solver_.proveImplication(hypothesis, conclusion);
+            return proveImplication(hypothesis, conclusion);
         uint64_t before = solver_.stats().queries;
-        bool proven = solver_.proveImplication(parts, conclusion);
+        bool proven = attemptProof(
+            [&] { return solver_.proveImplication(parts, conclusion); });
         if (solver_.stats().queries != before)
             ++batchedDischarges_;
         return proven;
@@ -287,7 +316,8 @@ class Run
         Term query = tf_.mkAnd(cond, siblings);
         if (query.isFalse())
             return true;
-        return solver_.checkSat({query}) == SatResult::Unsat;
+        return attemptProof(
+            [&] { return solver_.checkSat({query}) == SatResult::Unsat; });
     }
 
     // --- seeding ---------------------------------------------------------------
@@ -618,14 +648,8 @@ class Run
         // hold); classify it as a timeout instead of a counterexample.
         uint64_t unknowns_before = solver_.stats().unknown;
         auto fail = [&](std::string reason) {
-            if (solver_.stats().unknown > unknowns_before) {
-                FailureKind failure = unknownFailure();
-                throw BudgetExceeded{
-                    verdictKindFor(failure), failure,
-                    "solver returned unknown while discharging "
-                    "obligations (" +
-                        std::string(failureKindName(failure)) + ")"};
-            }
+            if (solver_.stats().unknown > unknowns_before)
+                abortOnUnknown("while discharging obligations");
             why = std::move(reason);
             return PairResult::Fail;
         };
@@ -635,7 +659,8 @@ class Run
         // verdict degrades to refinement if this situation is reachable.
         if (a.status == Status::Error &&
             acceptability_.errorAcceptsAnyOutput(a.errorKind)) {
-            if (!refinementFallback_ && possiblySat(a.pathCond))
+            if (!refinementFallback_ &&
+                isSat(a.pathCond, /*possibly=*/true))
                 refinementFallback_ = true;
             recordStep(source, nullptr, a, b,
                        ProofStep::Method::Acceptability, Term(), Term());

@@ -281,6 +281,11 @@ GuardedSolver::checkSat(const std::vector<Term> &assertions)
             if (!crashed && result != SatResult::Unknown) {
                 if (rung > 0)
                     ++stats_.escalatedResolved;
+                // A definite answer carries no failure, whatever the
+                // earlier attempts hit: a worker ships this kind with
+                // its Result, and a stale one disqualifies the lane.
+                lastFailure_ = FailureKind::None;
+                lastUnknownReason_.clear();
                 lastAnswering_ = solver;
                 if (result == SatResult::Sat)
                     ++stats_.sat;

@@ -91,21 +91,25 @@ Subprocess::spawn(const std::vector<std::string> &argv,
         error = "empty argv";
         return false;
     }
+    // Every end is close-on-exec from birth: a sibling spawned by
+    // another thread must not inherit this child's pipes. An inherited
+    // execStatus write end would block the read below until that
+    // sibling exits; an inherited stdin write end would keep this
+    // child from ever seeing EOF.
     int toChild[2];   // parent writes -> child stdin
     int fromChild[2]; // child stdout -> parent reads
-    int execStatus[2]; // close-on-exec: reports exec failure
-    if (::pipe(toChild) != 0) {
+    int execStatus[2]; // reports exec failure; EOF on exec
+    if (::pipe2(toChild, O_CLOEXEC) != 0) {
         error = std::string("pipe: ") + std::strerror(errno);
         return false;
     }
-    if (::pipe(fromChild) != 0) {
+    if (::pipe2(fromChild, O_CLOEXEC) != 0) {
         error = std::string("pipe: ") + std::strerror(errno);
         ::close(toChild[0]);
         ::close(toChild[1]);
         return false;
     }
-    if (::pipe(execStatus) != 0 ||
-        ::fcntl(execStatus[1], F_SETFD, FD_CLOEXEC) != 0) {
+    if (::pipe2(execStatus, O_CLOEXEC) != 0) {
         error = std::string("pipe: ") + std::strerror(errno);
         ::close(toChild[0]);
         ::close(toChild[1]);
@@ -113,6 +117,14 @@ Subprocess::spawn(const std::vector<std::string> &argv,
         ::close(fromChild[1]);
         return false;
     }
+
+    // Built before fork: the child may not allocate (another thread
+    // can hold the allocator lock at the moment of the fork).
+    std::vector<char *> args;
+    args.reserve(argv.size() + 1);
+    for (const std::string &arg : argv)
+        args.push_back(const_cast<char *>(arg.c_str()));
+    args.push_back(nullptr);
 
     pid_t pid = ::fork();
     if (pid < 0) {
@@ -124,17 +136,13 @@ Subprocess::spawn(const std::vector<std::string> &argv,
     }
 
     if (pid == 0) {
-        // Child. Only async-signal-safe calls until exec.
+        // Child. Only async-signal-safe calls until exec. The pipe ends
+        // close on exec; stdin/stdout must not (dup2 onto the same
+        // number keeps the flag, so clear it explicitly).
         ::dup2(toChild[0], STDIN_FILENO);
         ::dup2(fromChild[1], STDOUT_FILENO);
-        for (int fd : {toChild[0], toChild[1], fromChild[0],
-                       fromChild[1], execStatus[0]})
-            ::close(fd);
-        std::vector<char *> args;
-        args.reserve(argv.size() + 1);
-        for (const std::string &arg : argv)
-            args.push_back(const_cast<char *>(arg.c_str()));
-        args.push_back(nullptr);
+        ::fcntl(STDIN_FILENO, F_SETFD, 0);
+        ::fcntl(STDOUT_FILENO, F_SETFD, 0);
         ::execv(args[0], args.data());
         // exec failed: report errno through the status pipe, then die.
         int err = errno;

@@ -237,5 +237,82 @@ TEST(FailureTaxonomyTest, EveryKindSurvivesACheckpointRoundTrip)
     }
 }
 
+/**
+ * Delegates to a real backend, except that call number @p lost comes
+ * back Unknown classified WorkerKilled, with the crash counted: what
+ * SandboxSolver reports when its worker is SIGKILLed under exactly
+ * that query.
+ */
+class LostQuerySolver : public smt::Solver
+{
+  public:
+    LostQuerySolver(smt::TermFactory &factory, smt::Solver &backend,
+                    uint64_t lost)
+        : factory_(factory), backend_(backend), lost_(lost)
+    {}
+
+    smt::SatResult
+    checkSat(const std::vector<smt::Term> &assertions) override
+    {
+        ++stats_.queries;
+        if (calls_++ == lost_) {
+            failure_ = FailureKind::WorkerKilled;
+            ++stats_.workerCrashes;
+            ++stats_.unknown;
+            return smt::SatResult::Unknown;
+        }
+        failure_ = FailureKind::None;
+        smt::SatResult result = backend_.checkSat(assertions);
+        ++(result == smt::SatResult::Sat ? stats_.sat : stats_.unsat);
+        return result;
+    }
+    void setTimeoutMs(unsigned ms) override { backend_.setTimeoutMs(ms); }
+    FailureKind lastFailureKind() const override { return failure_; }
+    const smt::SolverStats &stats() const override { return stats_; }
+
+  protected:
+    smt::TermFactory &factory() override { return factory_; }
+
+  private:
+    smt::TermFactory &factory_;
+    smt::Solver &backend_;
+    uint64_t lost_;
+    uint64_t calls_ = 0;
+    FailureKind failure_ = FailureKind::None;
+    smt::SolverStats stats_;
+};
+
+TEST(FailureTaxonomyTest, LostQueryNeverPassesSilently)
+{
+    // Whichever query a worker death lands on — a feasibility check,
+    // the UB-reachability check, a path-equivalence probe, an
+    // obligation — the function must end classified WorkerKilled. A
+    // proof search that routes around the lost query would let the
+    // verdict or its accounting depend on where a kill landed.
+    llvmir::Module probe = llvmir::parseModule(corpusSource());
+    size_t lost_queries = 0;
+    for (size_t i = 0; i < probe.functions.size(); ++i) {
+        if (probe.functions[i].isDeclaration())
+            continue;
+        FaultedPipeline clean(i, smt::FaultPlan{});
+        uint64_t queries = clean.check().stats.solverQueries;
+        for (uint64_t lost = 0; lost < queries; ++lost) {
+            FaultedPipeline pipeline(i, smt::FaultPlan{});
+            LostQuerySolver solver(pipeline.factory, *pipeline.z3, lost);
+            Checker checker(*pipeline.semA, *pipeline.semB,
+                            pipeline.acceptability, solver, {});
+            Verdict verdict =
+                checker.check(pipeline.name, pipeline.name,
+                              pipeline.points);
+            EXPECT_EQ(verdict.failure, FailureKind::WorkerKilled)
+                << pipeline.name << " losing query " << lost << ": "
+                << verdictKindName(verdict.kind);
+            EXPECT_FALSE(verdict.validated()) << pipeline.name;
+            ++lost_queries;
+        }
+    }
+    EXPECT_GT(lost_queries, 0u) << "no corpus function reached the solver";
+}
+
 } // namespace
 } // namespace keq::checker

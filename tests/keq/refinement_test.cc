@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "src/driver/pipeline.h"
+#include "src/isel/isel.h"
+#include "src/llvmir/layout_builder.h"
 #include "src/llvmir/parser.h"
+#include "src/llvmir/symbolic_semantics.h"
 #include "src/llvmir/verifier.h"
 #include "src/sem/acceptability.h"
+#include "src/vcgen/vcgen.h"
+#include "src/vx86/symbolic_semantics.h"
 
 namespace keq::checker {
 namespace {
@@ -159,6 +164,97 @@ done:
 )");
     EXPECT_EQ(report.verdict.kind, VerdictKind::Refines)
         << report.detail;
+}
+
+/**
+ * A solver whose every query comes back Unknown with a fixed failure
+ * classification — WorkerKilled stands for a sandbox worker SIGKILLed
+ * under the query, None for honest incompleteness.
+ */
+class UnknownSolver : public smt::Solver
+{
+  public:
+    UnknownSolver(smt::TermFactory &factory, FailureKind failure)
+        : factory_(factory), failure_(failure)
+    {}
+
+    smt::SatResult
+    checkSat(const std::vector<smt::Term> &) override
+    {
+        ++stats_.queries;
+        ++stats_.unknown;
+        return smt::SatResult::Unknown;
+    }
+    void setTimeoutMs(unsigned) override {}
+    FailureKind lastFailureKind() const override { return failure_; }
+    const smt::SolverStats &stats() const override { return stats_; }
+
+  protected:
+    smt::TermFactory &factory() override { return factory_; }
+
+  private:
+    smt::TermFactory &factory_;
+    FailureKind failure_;
+    smt::SolverStats stats_;
+};
+
+/**
+ * Checks @p source's last function against @p failure's UnknownSolver.
+ * The function must reach the solver only through the conservative
+ * "is the input-side UB reachable?" check.
+ */
+Verdict
+checkWithUnknowns(const char *source, FailureKind failure)
+{
+    llvmir::Module module = llvmir::parseModule(source);
+    llvmir::verifyModuleOrThrow(module);
+    const llvmir::Function &fn = module.functions.back();
+    isel::FunctionHints hints;
+    vx86::MFunction mfn = isel::lowerFunction(module, fn, {}, hints);
+    vcgen::VcResult vc = vcgen::generateSyncPoints(fn, mfn, hints);
+    vx86::MModule mmodule;
+    mmodule.functions.push_back(std::move(mfn));
+    smt::TermFactory factory;
+    mem::MemoryLayout layout;
+    llvmir::populateLayout(module, layout);
+    llvmir::SymbolicSemantics sem_a(module, factory, layout);
+    vx86::SymbolicSemantics sem_b(mmodule, factory, layout);
+    UnknownSolver solver(factory, failure);
+    sem::IselAcceptability acceptability;
+    Checker checker(sem_a, sem_b, acceptability, solver);
+    return checker.check(fn.name, fn.name, vc.points);
+}
+
+/** Clean verdict: Equivalent, the UB check answering Unsat. */
+const char *const kMaskedNsw = R"(
+define i32 @safe(i32 %a) {
+entry:
+  %m = and i32 %a, 65535
+  %r = add nsw i32 %m, 1
+  ret i32 %r
+}
+)";
+
+TEST(RefinementTest, ClassifiedUnknownOnUbReachabilityIsAFailure)
+{
+    // A killed worker is an infrastructure failure, not evidence that
+    // the UB is reachable: degrading to Refines would report a weaker
+    // verdict than the clean run's with fail=none.
+    Verdict verdict =
+        checkWithUnknowns(kMaskedNsw, FailureKind::WorkerKilled);
+    EXPECT_EQ(verdict.failure, FailureKind::WorkerKilled);
+    EXPECT_EQ(verdict.kind, VerdictKind::Timeout);
+    EXPECT_FALSE(verdict.usedRefinementFallback);
+}
+
+TEST(RefinementTest, UnclassifiedUnknownOnUbReachabilityRefines)
+{
+    // Honest incompleteness stays conservative: the UB may be
+    // reachable, so only refinement is claimed.
+    Verdict verdict = checkWithUnknowns(kMaskedNsw, FailureKind::None);
+    EXPECT_EQ(verdict.kind, VerdictKind::Refines) << verdict.reason;
+    EXPECT_EQ(verdict.failure, FailureKind::None);
+    EXPECT_TRUE(verdict.usedRefinementFallback);
 }
 
 } // namespace

@@ -164,6 +164,20 @@ TEST(GuardedSolverTest, EscalationResolvesOnAFreshRung)
     EXPECT_EQ(guard.stats().escalatedResolved, 1u);
 }
 
+TEST(GuardedSolverTest, DefiniteAnswerAfterACrashCarriesNoFailure)
+{
+    TermFactory tf;
+    ScriptedSolver primary(tf, {Step::Crash, Step::Sat});
+    GuardedSolverOptions options = fastOptions();
+    options.retries = 1;
+    GuardedSolver guard(tf, primary, {}, options);
+
+    EXPECT_EQ(guard.checkSat({}), SatResult::Sat);
+    EXPECT_EQ(guard.lastFailureKind(), FailureKind::None)
+        << "the Solver contract: None for a definite answer";
+    EXPECT_EQ(guard.lastUnknownReason(), "");
+}
+
 TEST(GuardedSolverTest, ExhaustedLadderReportsAClassifiedUnknown)
 {
     TermFactory tf;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -63,6 +64,47 @@ hardAssertions(TermFactory &f)
         f.bvUlt(x, cap),
         f.bvUlt(y, cap),
     };
+}
+
+/** The pipe inodes ("pipe:[N]") among process @p pid's fds >= 3. */
+std::vector<std::string>
+inheritedPipes(const std::string &pid)
+{
+    std::vector<std::string> pipes;
+    std::string dir = "/proc/" + pid + "/fd";
+    DIR *fds = ::opendir(dir.c_str());
+    if (fds == nullptr)
+        return pipes;
+    while (dirent *entry = ::readdir(fds)) {
+        if (std::atoi(entry->d_name) < 3)
+            continue; // ".", "..", stdin, stdout, stderr
+        char target[256] = {};
+        std::string link = dir + "/" + entry->d_name;
+        if (::readlink(link.c_str(), target, sizeof target - 1) > 0 &&
+            std::string(target).rfind("pipe:", 0) == 0)
+            pipes.push_back(target);
+    }
+    ::closedir(fds);
+    return pipes;
+}
+
+TEST(Subprocess, ChildInheritsNoPipeOfAnotherChild)
+{
+    // Workers spawn concurrently from several threads. A pipe end that
+    // leaks into a sibling across exec keeps the sibling holding this
+    // child's stdin (no EOF at shutdown) or its exec-status pipe (the
+    // spawning thread's read never returns).
+    std::vector<std::string> before = inheritedPipes("self");
+    support::Subprocess first, second;
+    std::string error;
+    ASSERT_TRUE(first.spawn({"/bin/cat"}, error)) << error;
+    ASSERT_TRUE(second.spawn({"/bin/cat"}, error)) << error;
+    for (const std::string &pipe :
+         inheritedPipes(std::to_string(second.pid()))) {
+        EXPECT_NE(std::count(before.begin(), before.end(), pipe), 0)
+            << "second child holds " << pipe
+            << ", a pipe its parent opened for a child";
+    }
 }
 
 TEST(ClassifyWorkerDeath, TaxonomyFromExitStatus)

@@ -39,14 +39,10 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include "src/smt/caching_solver.h"
-#include "src/smt/guarded_solver.h"
-#include "src/smt/incremental_z3_solver.h"
-#include "src/smt/portfolio_solver.h"
 #include "src/smt/sandbox.h"
+#include "src/smt/solver_stack.h"
 #include "src/smt/term_factory.h"
 #include "src/smt/wire.h"
-#include "src/smt/z3_solver.h"
 
 namespace {
 
@@ -137,53 +133,43 @@ applyRlimits(unsigned memoryMb, unsigned cpuSeconds)
 /** One Reset's worth of state: fresh factory + solver stack. */
 struct Session
 {
-    std::unique_ptr<smt::TermFactory> factory;
-    std::unique_ptr<smt::Solver> backend;
-    std::unique_ptr<smt::CachingSolver> caching;
-    std::unique_ptr<smt::GuardedSolver> guard;
+    std::unique_ptr<smt::TermFactory> factory =
+        std::make_unique<smt::TermFactory>();
+    smt::SolverStack stack;
     smt::wire::VarSortContext varSorts;
-    unsigned timeoutMs = 0;
 
-    static Session
-    make(const smt::wire::ResetFrame &config,
-         const smt::LaneConfig &lane,
-         const std::shared_ptr<smt::QueryCache> &cache)
-    {
-        Session s;
-        s.factory = std::make_unique<smt::TermFactory>();
-        // The lane strategy decides the backend: the default lane is
-        // the incremental stack protocol v1 always built; tuned and
-        // cold lanes exist only when the parent races a portfolio.
-        s.backend = smt::makeLaneBackend(*s.factory, lane);
-        s.caching = std::make_unique<smt::CachingSolver>(
-            *s.factory, *s.backend, cache);
-        // The guard's terminal rung is a pristine cold solver — the
-        // same ladder the in-process pipeline runs, so escalation
-        // behaviour (and therefore verdicts) match exactly. It stays
-        // untuned even for tuned lanes: a lane that needs its terminal
-        // rung should converge to the reference configuration.
-        smt::TermFactory *factory = s.factory.get();
-        std::vector<smt::GuardedSolver::RungFactory> fallbacks;
-        fallbacks.push_back([factory] {
-            return std::make_unique<smt::Z3Solver>(*factory);
-        });
-        smt::GuardedSolverOptions guardOptions;
-        guardOptions.deadlineMs =
-            config.timeoutMs > 0 ? config.timeoutMs + 1000 : 0;
-        // Arm the watchdog even without a deadline: the parent's
-        // Cancel frame rides guard->cancelCurrentQuery(), which needs
-        // the re-firing interrupt loop to reap a losing lane.
-        guardOptions.cancellable = true;
-        s.guard = std::make_unique<smt::GuardedSolver>(
-            *s.factory, *s.caching, std::move(fallbacks),
-            guardOptions);
-        s.timeoutMs = config.timeoutMs;
-        s.guard->setTimeoutMs(config.timeoutMs);
-        if (config.memoryBudgetMb > 0)
-            s.guard->setMemoryBudgetMb(config.memoryBudgetMb);
-        return s;
-    }
+    smt::GuardedSolver &guard() const { return *stack.guard; }
 };
+
+/**
+ * @p lanes is the Reset frame's one-lane roster, which decides the
+ * backend: the default lane is the incremental stack protocol v1
+ * always built; tuned and cold lanes exist only when the parent races
+ * a portfolio. The worker never has a fault plan, so its guard
+ * escalates straight to the pristine cold rung — the ladder a
+ * fault-free in-process pipeline runs.
+ */
+std::unique_ptr<Session>
+makeSession(const smt::wire::ResetFrame &config,
+            std::vector<smt::LaneConfig> lanes,
+            const std::shared_ptr<smt::QueryCache> &cache)
+{
+    auto session = std::make_unique<Session>();
+    smt::SolverStackSpec spec;
+    spec.lanes = std::move(lanes);
+    spec.cache = cache;
+    smt::GuardedSolverOptions guard;
+    guard.deadlineMs = config.timeoutMs > 0 ? config.timeoutMs + 1000 : 0;
+    // Arm the watchdog even without a deadline: the parent's Cancel
+    // frame rides cancelCurrentQuery(), which needs the re-firing
+    // interrupt loop to reap a losing lane.
+    guard.cancellable = true;
+    spec.guard = guard;
+    session->stack = smt::buildSolverStack(*session->factory, spec);
+    if (config.memoryBudgetMb > 0)
+        session->guard().setMemoryBudgetMb(config.memoryBudgetMb);
+    return session;
+}
 
 /** Liveness thread: beats only while a query is in flight, and only
  *  outside the moment the main thread is emitting that query's Result
@@ -260,7 +246,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
         if (!readExact(header, 4)) {
             exitCode = 0; // parent closed: normal teardown
             if (session != nullptr && solve.joinable())
-                session->guard->cancelCurrentQuery();
+                session->guard().cancelCurrentQuery();
             break;
         }
         smt::wire::Decoder headerDec(header);
@@ -304,7 +290,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             if (session != nullptr && cancel.seq != 0 &&
                 cancel.seq ==
                     gInFlight.load(std::memory_order_relaxed)) {
-                session->guard->cancelCurrentQuery();
+                session->guard().cancelCurrentQuery();
             }
             continue;
         }
@@ -317,25 +303,21 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                     "corrupt reset frame: " + error));
                 continue;
             }
-            smt::LaneConfig lane;
-            if (!config.strategy.empty()) {
-                std::vector<smt::LaneConfig> lanes;
-                if (!smt::parsePortfolioLanes(config.strategy, lanes,
-                                              error) ||
-                    lanes.size() != 1) {
-                    std::unique_lock<std::mutex> lock(gWriteMutex);
-                    writeFrame(smt::wire::encodeError(
-                        "bad reset strategy: " +
-                        (error.empty() ? "expected one lane" : error)));
-                    continue;
-                }
-                lane = std::move(lanes[0]);
-            } else {
-                lane.name = "default";
+            // An empty strategy selects the default lane (protocol v1).
+            std::vector<smt::LaneConfig> lanes;
+            if (!smt::parsePortfolioLanes(config.strategy.empty()
+                                              ? "default"
+                                              : config.strategy,
+                                          lanes, error) ||
+                lanes.size() != 1) {
+                std::unique_lock<std::mutex> lock(gWriteMutex);
+                writeFrame(smt::wire::encodeError(
+                    "bad reset strategy: " +
+                    (error.empty() ? "expected one lane" : error)));
+                continue;
             }
             joinSolve(); // the old session must be idle before dying
-            session = std::make_unique<Session>(
-                Session::make(config, lane, cache));
+            session = makeSession(config, std::move(lanes), cache);
             continue;
         }
         if (type != smt::wire::FrameType::Query) {
@@ -363,10 +345,8 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             continue;
         }
 
-        if (query.timeoutMs != session->timeoutMs) {
-            session->guard->setTimeoutMs(query.timeoutMs);
-            session->timeoutMs = query.timeoutMs;
-        }
+        // The query's deadline supersedes the session's (Reset) one.
+        session->guard().setTimeoutMs(query.timeoutMs);
 
         // All frame decoding (factory mutation) happened above on this
         // thread; the solve thread only runs the solver stack, so the
@@ -377,13 +357,13 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
         solve = std::thread([live, query = std::move(query)] {
             smt::wire::ResultFrame result;
             result.seq = query.seq;
-            smt::SolverStats before = live->guard->stats();
+            smt::SolverStats before = live->guard().stats();
             try {
                 result.result =
-                    live->guard->checkSat(query.assertions);
-                result.failureKind = live->guard->lastFailureKind();
+                    live->guard().checkSat(query.assertions);
+                result.failureKind = live->guard().lastFailureKind();
                 result.unknownReason =
-                    live->guard->lastUnknownReason();
+                    live->guard().lastUnknownReason();
             } catch (const std::bad_alloc &) {
                 // The rlimit tripped inside the solver. The heap may
                 // be unusable; report via the exit code, not the wire.
@@ -395,7 +375,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                 result.failureKind = FailureKind::SolverCrash;
                 result.unknownReason = crash.what();
             }
-            result.stats = live->guard->stats() - before;
+            result.stats = live->guard().stats() - before;
 
             std::unique_lock<std::mutex> lock(gWriteMutex);
             gInFlight.store(0, std::memory_order_relaxed);
