@@ -383,8 +383,8 @@ Pipeline::sandboxSupervisor(unsigned workers)
         return supervisor_.get();
 
     // Each concurrent function validation leases one worker per
-    // portfolio lane (solveGroup's atomic multi-slot lease), so the
-    // default pool is jobs x lanes; an undersized explicit pool still
+    // portfolio lane (WorkerSupervisor::solve leases them atomically),
+    // so the default pool is jobs x lanes; an undersized explicit pool still
     // works — the race just degrades to fewer lanes.
     unsigned lanes = std::max<unsigned>(spec_.lanes.size(), 1);
     smt::SandboxOptions sandbox;

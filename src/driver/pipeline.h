@@ -197,7 +197,7 @@ struct ExecutionOptions
     double sandboxChaosKillRate = 0.0;
     uint64_t sandboxChaosSeed = 0x5eed;
 
-    // --- Portfolio racing (smt::PortfolioSolver / solveGroup) --------
+    // --- Portfolio racing (smt::PortfolioSolver / sandbox race) -----
 
     /**
      * Strategy lanes raced per solver query. 1 (default) disables the
@@ -205,7 +205,7 @@ struct ExecutionOptions
      * pre-portfolio pipeline. Clamped to
      * smt::SolverStats::kPortfolioMaxLanes. In-process runs race lane
      * threads (PortfolioSolver); sandboxed runs race one worker per
-     * lane (WorkerSupervisor::solveGroup).
+     * lane (WorkerSupervisor::solve).
      */
     unsigned portfolioLanes = 1;
     /**

@@ -226,17 +226,11 @@ DaemonClient::recvSupervised(std::string &payload, unsigned deadlineMs)
     bool canPing = options_.heartbeatIntervalMs > 0 &&
                    serverHello_.protocolVersion >= 5;
     for (;;) {
-        IoStatus status = channel_.waitReadable(kHeartbeatTickMs);
-        if (status == IoStatus::Ok) {
-            // Bytes are pending; the frame read itself only needs to
-            // beat a peer that dies mid-frame, not a slow solve.
-            unsigned frameBudget = options_.heartbeatTimeoutMs > 0
-                                       ? options_.heartbeatTimeoutMs
-                                       : deadlineMs;
-            return channel_.recvFrame(payload, frameBudget);
-        }
+        // A tick that ends mid-frame keeps the partial frame; the next
+        // recvFrame resumes it, so short ticks never tear a frame.
+        IoStatus status = channel_.recvFrame(payload, kHeartbeatTickMs);
         if (status != IoStatus::Timeout)
-            return status; // Eof or socket error: peer is gone
+            return status; // a frame, or Eof/error: the peer is gone
         auto now = std::chrono::steady_clock::now();
         unsigned idleMs = elapsedMs(start, now);
         if (idleMs >= deadlineMs)

@@ -185,8 +185,8 @@ class DaemonClient
     /** Failover reconnect: cycles endpoints with jittered backoff. */
     bool reconnect(std::string &error);
     /**
-     * Receive with liveness supervision: polls readability in short
-     * ticks (never tearing a partially-arrived frame), Pings an idle
+     * Receive with liveness supervision: receives in short ticks (a
+     * tick that ends mid-frame resumes on the next), Pings an idle
      * v5 connection, and turns a silent peer into IoStatus::Timeout
      * after heartbeatTimeoutMs instead of stalling to the verdict
      * deadline. Pong frames are passed through to the caller.

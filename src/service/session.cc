@@ -13,7 +13,10 @@ using support::IoStatus;
 
 namespace {
 
-/** Reader-loop tick: bounds how stale a stop check can get. */
+/**
+ * Reader-loop tick: bounds how stale a stop check can get. A tick that
+ * expires mid-frame keeps the partial frame for the next recvFrame.
+ */
 constexpr unsigned kReadTickMs = 200;
 
 } // namespace
@@ -222,7 +225,9 @@ Session::run()
 {
     if (!handshake()) {
         ++server_.helloRejects_;
-        channel_.close();
+        // Shut down, not close: Server::stop() may shut this channel
+        // down concurrently, and the fd closes with the session.
+        channel_.shutdownBoth();
         done_.store(true);
         return;
     }

@@ -15,11 +15,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "src/smt/wire.h"
-
 namespace keq::service {
-
-using support::IoStatus;
 
 namespace {
 
@@ -84,148 +80,6 @@ acceptOn(int listenFd, unsigned timeout_ms)
 }
 
 } // namespace
-
-// --- WireChannel ---------------------------------------------------------
-
-WireChannel::~WireChannel() { close(); }
-
-WireChannel::WireChannel(WireChannel &&rhs) noexcept
-    : fd_(rhs.fd_), bytesSent_(rhs.bytesSent_),
-      bytesReceived_(rhs.bytesReceived_)
-{
-    rhs.fd_ = -1;
-}
-
-WireChannel &
-WireChannel::operator=(WireChannel &&rhs) noexcept
-{
-    if (this != &rhs) {
-        close();
-        fd_ = rhs.fd_;
-        bytesSent_ = rhs.bytesSent_;
-        bytesReceived_ = rhs.bytesReceived_;
-        rhs.fd_ = -1;
-    }
-    return *this;
-}
-
-void
-WireChannel::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
-void
-WireChannel::shutdownBoth()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_RDWR);
-}
-
-bool
-WireChannel::sendFrame(const std::string &frame)
-{
-    if (fd_ < 0)
-        return false;
-    // Short writes resume from the offset; EINTR retries. A TCP socket
-    // under pressure routinely accepts only part of a frame per send.
-    size_t off = 0;
-    while (off < frame.size()) {
-        ssize_t n = ::send(fd_, frame.data() + off, frame.size() - off,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-    }
-    bytesSent_ += frame.size();
-    return true;
-}
-
-IoStatus
-WireChannel::readExact(std::string &out, size_t bytes,
-                       unsigned deadline_ms)
-{
-    int64_t start = nowMs();
-    size_t got = 0;
-    while (got < bytes) {
-        pollfd pfd{fd_, POLLIN, 0};
-        int wait = remainingMs(start, deadline_ms);
-        if (deadline_ms != 0 && wait == 0)
-            return IoStatus::Timeout;
-        int ready = ::poll(&pfd, 1, wait);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoStatus::Error;
-        }
-        if (ready == 0)
-            return IoStatus::Timeout;
-        char buf[4096];
-        size_t want = std::min(bytes - got, sizeof buf);
-        ssize_t n = ::recv(fd_, buf, want, 0);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoStatus::Error;
-        }
-        if (n == 0)
-            return IoStatus::Eof;
-        out.append(buf, static_cast<size_t>(n));
-        got += static_cast<size_t>(n);
-    }
-    return IoStatus::Ok;
-}
-
-IoStatus
-WireChannel::recvFrame(std::string &payload, unsigned deadline_ms)
-{
-    if (fd_ < 0)
-        return IoStatus::Error;
-    std::string header;
-    IoStatus status = readExact(header, 4, deadline_ms);
-    if (status != IoStatus::Ok)
-        return status;
-    uint32_t length = 0;
-    for (int i = 3; i >= 0; --i)
-        length = (length << 8) | static_cast<uint8_t>(header[i]);
-    if (length == 0 || length > smt::wire::kMaxFramePayload)
-        return IoStatus::Error;
-    payload.clear();
-    payload.reserve(length);
-    status = readExact(payload, length, deadline_ms);
-    if (status == IoStatus::Ok)
-        bytesReceived_ += 4 + static_cast<uint64_t>(length);
-    return status;
-}
-
-IoStatus
-WireChannel::waitReadable(unsigned timeout_ms)
-{
-    if (fd_ < 0)
-        return IoStatus::Error;
-    int64_t start = nowMs();
-    for (;;) {
-        pollfd pfd{fd_, POLLIN, 0};
-        int wait = remainingMs(start, timeout_ms);
-        if (timeout_ms != 0 && wait == 0)
-            return IoStatus::Timeout;
-        int ready = ::poll(&pfd, 1, wait);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoStatus::Error;
-        }
-        if (ready == 0)
-            return IoStatus::Timeout;
-        return IoStatus::Ok; // readable (possibly EOF; recv decides)
-    }
-}
 
 // --- UnixListener --------------------------------------------------------
 

@@ -7,97 +7,29 @@
  *
  * The daemon and its clients exchange exactly the same length-prefixed
  * frames as the solver sandbox (smt/wire: u32 LE payload length +
- * payload), but over stream sockets instead of pipes. Two transports
- * implement one Listener seam: AF_UNIX (single host, filesystem
- * permissions) and AF_INET/AF_INET6 TCP (multi-host). The frame layer
- * — WireChannel — is transport-agnostic: it owns a connected fd and
- * never cares how it was made.
+ * payload), over stream sockets instead of pipes, and through the same
+ * transport: WireChannel is support::FramedChannel built on one
+ * connected socket fd. Its guarantees (resumable deadline-aware
+ * receives, MSG_NOSIGNAL sends, length validation before allocation,
+ * interrupted-call and short-transfer loops) are documented in
+ * support/framed_channel.h and pinned by the fragmenting
+ * fault-injection tests.
  *
- * Safety properties mirrored from support::Subprocess:
- *  - reads are deadline-aware (poll + read loop) so a dead peer turns
- *    into a classified Timeout/Eof, never a hung thread;
- *  - writes use MSG_NOSIGNAL so a disconnected peer surfaces as an
- *    error return instead of a SIGPIPE process death — the daemon must
- *    survive any client vanishing at any instant;
- *  - frame lengths are validated against wire::kMaxFramePayload before
- *    any allocation, so a garbage peer cannot OOM the daemon;
- *  - every read(2)/write(2)-family loop retries EINTR and resumes
- *    short transfers — frames survive arbitrary kernel fragmentation
- *    (pinned by the fragmenting fault-injection tests).
+ * Two transports implement one Listener seam: AF_UNIX (single host,
+ * filesystem permissions) and AF_INET/AF_INET6 TCP (multi-host). The
+ * frame layer never cares how its fd was made.
  */
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "src/service/endpoint.h"
-#include "src/support/subprocess.h" // support::IoStatus
+#include "src/support/framed_channel.h"
 
 namespace keq::service {
 
-/**
- * One connected stream socket speaking wire frames. Owns the fd;
- * movable, not copyable.
- */
-class WireChannel
-{
-  public:
-    WireChannel() = default;
-    explicit WireChannel(int fd) : fd_(fd) {}
-    ~WireChannel();
-
-    WireChannel(WireChannel &&rhs) noexcept;
-    WireChannel &operator=(WireChannel &&rhs) noexcept;
-    WireChannel(const WireChannel &) = delete;
-    WireChannel &operator=(const WireChannel &) = delete;
-
-    bool valid() const { return fd_ >= 0; }
-    int fd() const { return fd_; }
-
-    /**
-     * Sends one already-framed byte string (wire::frameBytes output).
-     * False when the peer is gone or the write fails; never raises
-     * SIGPIPE. Callers serialize sends themselves when several threads
-     * share the channel (Session holds a write mutex).
-     */
-    bool sendFrame(const std::string &frame);
-
-    /**
-     * Receives one frame payload (the length prefix is consumed and
-     * validated here). @p deadline_ms bounds the *whole* frame; 0 waits
-     * forever. On Timeout/Eof partial bytes are discarded — a torn
-     * frame is a broken connection, not a resumable state.
-     */
-    support::IoStatus recvFrame(std::string &payload,
-                                unsigned deadline_ms);
-
-    /**
-     * Waits up to @p timeout_ms for the socket to become readable
-     * WITHOUT consuming bytes. Ok = a frame (or EOF) is waiting, so a
-     * following recvFrame will not idle; Timeout = the peer sent
-     * nothing. This is the heartbeat primitive: the failover client
-     * polls readability on a tick so it can inject Ping probes between
-     * frames without ever tearing a partially-arrived frame (which a
-     * short recvFrame deadline would).
-     */
-    support::IoStatus waitReadable(unsigned timeout_ms);
-
-    /** shutdown(2) both directions: unblocks any reader immediately. */
-    void shutdownBoth();
-
-    void close();
-
-    uint64_t bytesSent() const { return bytesSent_; }
-    uint64_t bytesReceived() const { return bytesReceived_; }
-
-  private:
-    support::IoStatus readExact(std::string &out, size_t bytes,
-                                unsigned deadline_ms);
-
-    int fd_ = -1;
-    uint64_t bytesSent_ = 0;
-    uint64_t bytesReceived_ = 0;
-};
+/** One connected stream socket speaking wire frames. */
+using WireChannel = support::FramedChannel;
 
 /**
  * A daemon listening socket: the transport seam. One implementation

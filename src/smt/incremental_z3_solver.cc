@@ -1,5 +1,7 @@
 #include "src/smt/incremental_z3_solver.h"
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -13,6 +15,65 @@
 
 namespace keq::smt {
 
+namespace {
+
+/**
+ * Makes Z3 interrupts safe to deliver at any moment.
+ *
+ * Z3_interrupt cancels the context, and only check() clears that
+ * again. An interrupt that lands outside check() (a late watchdog
+ * re-fire, a Cancel for a query that already answered, a reaped
+ * portfolio lane) leaves the context cancelled: push() then throws,
+ * and add() after a push() silently drops its assertion, so the next
+ * check() answers a weaker query (a Sat that should be Unsat).
+ * checkSat brackets its pushes: begin() clears a pending interrupt,
+ * and interruptedSince() says whether one arrived after begin(), in
+ * which case the assertions just pushed cannot be trusted.
+ */
+class InterruptLatch
+{
+  public:
+    explicit InterruptLatch(z3::context &ctx) : ctx_(ctx) {}
+
+    /** Cancels the context's current work; safe from any thread. */
+    void
+    interrupt()
+    {
+        ctx_.interrupt();
+        // Count after interrupting, so a begin() that read the count
+        // before this interrupt landed sees it in interruptedSince().
+        ++count_;
+    }
+
+    /** Owner thread: clears any pending interrupt; returns a token. */
+    uint64_t
+    begin()
+    {
+        uint64_t seen = count_.load();
+        if (seen != cleared_) {
+            // check() on an empty simple solver clears the flag in a
+            // few microseconds; built on first use, as most solvers
+            // are never interrupted.
+            if (!idle_)
+                idle_.emplace(ctx_, z3::solver::simple());
+            idle_->check();
+            cleared_ = seen;
+        }
+        return seen;
+    }
+
+    /** True when an interrupt arrived after begin() returned @p token. */
+    bool interruptedSince(uint64_t token) const { return count_ != token; }
+
+  private:
+    z3::context &ctx_;
+    std::optional<z3::solver> idle_;
+    std::atomic<uint64_t> count_{0};
+    uint64_t cleared_ = 0; ///< owner thread only
+};
+
+} // namespace
+
 struct IncrementalZ3Solver::Impl
 {
     z3::context ctx;
@@ -25,6 +86,7 @@ struct IncrementalZ3Solver::Impl
      * measurably slower on exactly our query mix.
      */
     z3::solver solver{ctx, "QF_AUFBV"};
+    InterruptLatch latch{ctx};
     /** Assertions currently on the scope stack, one scope each. */
     std::vector<Term> scopes;
     /** Limits currently applied to `solver`; track the setters. */
@@ -90,7 +152,7 @@ IncrementalZ3Solver::setMemoryBudgetMb(unsigned budget_mb)
 void
 IncrementalZ3Solver::interruptQuery()
 {
-    impl_->ctx.interrupt();
+    impl_->latch.interrupt();
 }
 
 SatResult
@@ -120,6 +182,7 @@ IncrementalZ3Solver::checkSat(const std::vector<Term> &assertions)
     z3::check_result z3_result = z3::unknown;
     std::optional<z3::model> model;
     try {
+        uint64_t token = impl.latch.begin();
         while (prefix < impl.scopes.size() &&
                prefix < assertions.size() &&
                impl.scopes[prefix].id() == assertions[prefix].id()) {
@@ -137,28 +200,36 @@ IncrementalZ3Solver::checkSat(const std::vector<Term> &assertions)
             impl.solver.add(impl.lowering.lower(assertions[i]));
             impl.scopes.push_back(assertions[i]);
         }
+        // An interrupt during the pushes may have made Z3 ignore some of
+        // them: rebuild the scope stack and report the interrupt, never
+        // a verdict over the weakened query.
+        bool interrupted = impl.latch.interruptedSince(token);
+        if (interrupted) {
+            impl.reset();
+            lastUnknownReason_ = "canceled";
+        } else {
+            support::Stopwatch check_watch;
+            z3_result = impl.solver.check();
+            if (std::getenv("KEQ_INC_DEBUG") != nullptr)
+                std::fprintf(stderr, "inc n=%zu prefix=%zu t=%.4f\n",
+                             assertions.size(), prefix,
+                             check_watch.seconds());
 
-        support::Stopwatch check_watch;
-        z3_result = impl.solver.check();
-        if (std::getenv("KEQ_INC_DEBUG") != nullptr)
-            std::fprintf(stderr, "inc n=%zu prefix=%zu t=%.4f\n",
-                         assertions.size(), prefix,
-                         check_watch.seconds());
+            stats_.incrementalReused += prefix;
+            if (prefix > 0)
+                ++stats_.incrementalSolves;
+            else
+                ++stats_.coldSolves;
 
-        stats_.incrementalReused += prefix;
-        if (prefix > 0)
-            ++stats_.incrementalSolves;
-        else
-            ++stats_.coldSolves;
-
-        if (z3_result == z3::sat && captureModels_) {
-            try {
-                model.emplace(impl.solver.get_model());
-            } catch (const z3::exception &) {
+            if (z3_result == z3::sat && captureModels_) {
+                try {
+                    model.emplace(impl.solver.get_model());
+                } catch (const z3::exception &) {
+                }
             }
         }
 
-        if (z3_result == z3::unknown) {
+        if (z3_result == z3::unknown && !interrupted) {
             // Soundness guardrail: never report an Unknown that a cold
             // solver would have answered. Retry fresh, then rebuild the
             // persistent solver — its state may be poisoned. (After a
@@ -169,6 +240,8 @@ IncrementalZ3Solver::checkSat(const std::vector<Term> &assertions)
             impl.applyLimits(fallback, timeoutMs_, memoryBudgetMb_);
             if (!tuning_.empty())
                 applyTuningParams(impl.ctx, fallback, tuning_);
+            // Never pushed, it only buffers its assertions until check(),
+            // so a pending interrupt cannot make it drop one.
             for (const Term &assertion : assertions)
                 fallback.add(impl.lowering.lower(assertion));
             z3_result = fallback.check();

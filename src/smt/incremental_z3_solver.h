@@ -56,7 +56,9 @@ class IncrementalZ3Solver : public Solver
      * thread. Note the Unknown guardrail below *re-enters* Z3 on a
      * fresh fallback solver after an interrupted check — a watchdog
      * that wants the whole call abandoned must keep re-interrupting
-     * until checkSat returns (GuardedSolver's does).
+     * until checkSat returns (GuardedSolver's does). An interrupt that
+     * lands while no query runs is cleared by the next checkSat, which
+     * then answers normally.
      */
     void interruptQuery() override;
 

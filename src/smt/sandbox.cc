@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <thread>
 
+#include <poll.h>
+
 #include "src/smt/term_factory.h"
 #include "src/support/rng.h"
 
@@ -15,8 +17,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr unsigned kReadSliceMs = 100;     ///< poll granularity
-constexpr unsigned kGroupSliceMs = 10;     ///< per-lane poll in a race
+constexpr unsigned kPumpTickMs = 10;       ///< reply pump poll tick
 constexpr unsigned kHandshakeMs = 10000;   ///< Ready deadline
 constexpr unsigned kReapGraceMs = 500;     ///< voluntary-exit window
 constexpr unsigned kMinBackoffMs = 25;
@@ -101,9 +102,6 @@ WorkerSupervisor::start(std::string &error)
                           options_.workerPath;
         return false;
     }
-    // Writing to a just-crashed worker must surface as EPIPE, not kill
-    // the supervisor's process.
-    std::signal(SIGPIPE, SIG_IGN);
     started_ = true;
     if (options_.chaosKillRate > 0.0) {
         chaosRate_.store(options_.chaosKillRate,
@@ -127,7 +125,7 @@ WorkerSupervisor::stop()
             slot->chaosPid = 0;
             // A polite Shutdown lets the worker flush and exit; the
             // grace period escalates to SIGKILL for wedged ones.
-            slot->proc.writeAll(wire::encodeShutdown());
+            slot->proc.channel().sendFrame(wire::encodeShutdown());
             slot->proc.waitOrKill(kReapGraceMs);
             slot->alive = false;
         }
@@ -153,21 +151,6 @@ WorkerSupervisor::bumpTotals(const SolverStats &delta)
 {
     std::unique_lock<std::mutex> lock(totalsMutex_);
     totals_ += delta;
-}
-
-WorkerSupervisor::Slot *
-WorkerSupervisor::leaseSlot()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        for (auto &slot : slots_) {
-            if (!slot->busy) {
-                slot->busy = true;
-                return slot.get();
-            }
-        }
-        slotFree_.wait(lock);
-    }
 }
 
 std::vector<WorkerSupervisor::Slot *>
@@ -223,6 +206,27 @@ WorkerSupervisor::reapWorker(Slot &slot)
 }
 
 bool
+WorkerSupervisor::transmit(Slot &slot, const std::string &frame,
+                           SolverStats &transport)
+{
+    if (!slot.proc.channel().sendFrame(frame))
+        return false;
+    transport.wireBytesSent += frame.size();
+    return true;
+}
+
+support::IoStatus
+WorkerSupervisor::receive(Slot &slot, std::string &payload,
+                          unsigned deadlineMs, SolverStats &transport)
+{
+    support::FramedChannel &channel = slot.proc.channel();
+    uint64_t before = channel.bytesReceived();
+    support::IoStatus status = channel.recvFrame(payload, deadlineMs);
+    transport.wireBytesReceived += channel.bytesReceived() - before;
+    return status;
+}
+
+bool
 WorkerSupervisor::spawnWorker(Slot &slot, std::string &error,
                               SolverStats &transport)
 {
@@ -252,61 +256,40 @@ WorkerSupervisor::spawnWorker(Slot &slot, std::string &error,
 
     // Handshake: the worker leads with Ready carrying its protocol
     // version; anything else (or silence) means a broken binary.
-    std::string buf;
-    Clock::time_point begin = Clock::now();
-    uint32_t frameLen = 0;
-    bool haveHeader = false;
-    for (;;) {
-        if (elapsedMs(begin) > kHandshakeMs) {
-            error = "worker handshake timed out";
-            reapWorker(slot);
-            return false;
-        }
-        size_t want = haveHeader ? frameLen : 4;
-        support::IoStatus st =
-            slot.proc.readExact(buf, want - buf.size(), kReadSliceMs);
-        if (st == support::IoStatus::Timeout)
-            continue;
-        if (st != support::IoStatus::Ok) {
-            support::ExitStatus dead = reapWorker(slot);
-            error = "worker died during handshake (" +
-                    dead.describe() + ")";
-            return false;
-        }
-        if (!haveHeader) {
-            wire::Decoder dec(buf);
-            dec.u32(frameLen);
-            if (frameLen == 0 ||
-                frameLen > wire::kMaxFramePayload) {
-                error = "worker handshake sent a corrupt frame";
-                reapWorker(slot);
-                return false;
-            }
-            haveHeader = true;
-            buf.clear();
-            continue;
-        }
-        transport.wireBytesReceived += 4 + buf.size();
-        wire::FrameType type;
-        std::string body;
-        wire::ReadyFrame ready;
-        std::string decodeError;
-        if (!wire::splitFrame(buf, type, body) ||
-            type != wire::FrameType::Ready ||
-            !wire::decodeReady(body, ready, decodeError)) {
-            error = "worker handshake sent a non-Ready frame";
-            reapWorker(slot);
-            return false;
-        }
-        if (ready.protocolVersion != wire::kProtocolVersion) {
-            error = "worker protocol version " +
-                    std::to_string(ready.protocolVersion) +
-                    " != supervisor " +
-                    std::to_string(wire::kProtocolVersion);
-            reapWorker(slot);
-            return false;
-        }
-        break;
+    std::string payload;
+    support::IoStatus st = receive(slot, payload, kHandshakeMs, transport);
+    if (st == support::IoStatus::Timeout) {
+        error = "worker handshake timed out";
+        reapWorker(slot);
+        return false;
+    }
+    if (st == support::IoStatus::Error) {
+        error = "worker handshake sent a corrupt frame";
+        reapWorker(slot);
+        return false;
+    }
+    if (st != support::IoStatus::Ok) {
+        support::ExitStatus dead = reapWorker(slot);
+        error = "worker died during handshake (" + dead.describe() + ")";
+        return false;
+    }
+    wire::FrameType type;
+    std::string body;
+    wire::ReadyFrame ready;
+    std::string decodeError;
+    if (!wire::splitFrame(payload, type, body) ||
+        type != wire::FrameType::Ready ||
+        !wire::decodeReady(body, ready, decodeError)) {
+        error = "worker handshake sent a non-Ready frame";
+        reapWorker(slot);
+        return false;
+    }
+    if (ready.protocolVersion != wire::kProtocolVersion) {
+        error = "worker protocol version " +
+                std::to_string(ready.protocolVersion) + " != supervisor " +
+                std::to_string(wire::kProtocolVersion);
+        reapWorker(slot);
+        return false;
     }
     if (slot.everSpawned)
         ++transport.workerRestarts;
@@ -347,13 +330,11 @@ WorkerSupervisor::dispatchQuery(Slot &slot, uint64_t sessionId,
             reset.timeoutMs = timeoutMs;
             reset.memoryBudgetMb = options_.memoryBudgetMb;
             reset.strategy = strategy;
-            std::string bytes = wire::encodeReset(reset);
-            if (!slot.proc.writeAll(bytes)) {
+            if (!transmit(slot, wire::encodeReset(reset), transport)) {
                 reapWorker(slot);
                 ++transport.workerCrashes;
                 continue;
             }
-            transport.wireBytesSent += bytes.size();
             slot.sessionId = sessionId;
             slot.strategy = strategy;
         }
@@ -361,205 +342,19 @@ WorkerSupervisor::dispatchQuery(Slot &slot, uint64_t sessionId,
         query.seq = seq;
         query.timeoutMs = timeoutMs;
         query.assertions = assertions;
-        std::string bytes = wire::encodeQuery(query);
-        if (!slot.proc.writeAll(bytes)) {
+        if (!transmit(slot, wire::encodeQuery(query), transport)) {
             reapWorker(slot);
             ++transport.workerCrashes;
             continue;
         }
-        transport.wireBytesSent += bytes.size();
         return true;
     }
     return false;
 }
 
-WorkerSupervisor::QueryOutcome
-WorkerSupervisor::solve(uint64_t sessionId,
-                        const std::vector<Term> &assertions,
-                        unsigned timeoutMs,
-                        const std::atomic<bool> *interrupted,
-                        const std::string &strategy)
-{
-    QueryOutcome out;
-    SolverStats transport;
-    if (!started_) {
-        out.failureKind = FailureKind::WorkerKilled;
-        out.unknownReason = "sandbox supervisor not started";
-        return out;
-    }
-
-    Slot *slot = leaseSlot();
-    uint64_t seq = nextQuerySeq_.fetch_add(1);
-
-    auto cancelled = [&] {
-        return (interrupted != nullptr &&
-                interrupted->load(std::memory_order_relaxed)) ||
-               options_.cancel.cancelled();
-    };
-
-    std::string spawnError;
-    bool dispatched =
-        dispatchQuery(*slot, sessionId, strategy, seq, assertions,
-                      timeoutMs, interrupted, transport, spawnError);
-    if (!dispatched) {
-        if (cancelled()) {
-            out.failureKind = FailureKind::Cancelled;
-            out.unknownReason = "cancelled before dispatch";
-        } else {
-            out.failureKind = FailureKind::WorkerKilled;
-            out.unknownReason =
-                "cannot dispatch to a sandbox worker" +
-                (spawnError.empty() ? std::string()
-                                    : ": " + spawnError);
-        }
-        releaseSlot(slot);
-        out.stats += transport;
-        bumpTotals(transport);
-        return out;
-    }
-
-    // --- Await the result under the heartbeat deadline ----------------
-    Clock::time_point lastFrame = Clock::now();
-    std::string buf;
-    uint32_t frameLen = 0;
-    bool haveHeader = false;
-    bool done = false;
-    while (!done) {
-        if (cancelled()) {
-            // Cancellation beats every other classification: kill the
-            // worker (its in-flight query is abandoned) and report
-            // Cancelled so the caller never journals this verdict.
-            slot->proc.kill(SIGKILL);
-            reapWorker(*slot);
-            out.result = SatResult::Unknown;
-            out.failureKind = FailureKind::Cancelled;
-            out.unknownReason = "cancelled";
-            break;
-        }
-        size_t want = haveHeader ? frameLen : 4;
-        support::IoStatus st =
-            slot->proc.readExact(buf, want - buf.size(), kReadSliceMs);
-        if (st == support::IoStatus::Timeout) {
-            if (elapsedMs(lastFrame) > options_.heartbeatGraceMs) {
-                // Silent worker: wedged in native code, SIGSTOPped, or
-                // spinning without heartbeats. Kill and classify as a
-                // timeout — the query never produced evidence of a
-                // crash, only of taking too long.
-                slot->proc.kill(SIGKILL);
-                reapWorker(*slot);
-                ++transport.heartbeatTimeouts;
-                out.result = SatResult::Unknown;
-                out.failureKind = FailureKind::Timeout;
-                out.unknownReason = "worker heartbeat deadline";
-                break;
-            }
-            continue;
-        }
-        if (st != support::IoStatus::Ok) {
-            support::ExitStatus dead = reapWorker(*slot);
-            ++transport.workerCrashes;
-            out.result = SatResult::Unknown;
-            out.failureKind = classifyWorkerDeath(
-                dead, slot->lastRssKb, options_.workerMemoryMb);
-            out.unknownReason = "worker died (" + dead.describe() + ")";
-            break;
-        }
-        if (!haveHeader) {
-            wire::Decoder dec(buf);
-            dec.u32(frameLen);
-            if (frameLen == 0 || frameLen > wire::kMaxFramePayload) {
-                slot->proc.kill(SIGKILL);
-                reapWorker(*slot);
-                ++transport.workerCrashes;
-                out.failureKind = FailureKind::WorkerKilled;
-                out.unknownReason = "worker sent a corrupt frame";
-                break;
-            }
-            haveHeader = true;
-            buf.clear();
-            continue;
-        }
-
-        transport.wireBytesReceived += 4 + buf.size();
-        lastFrame = Clock::now();
-        std::string payload = std::move(buf);
-        buf.clear();
-        haveHeader = false;
-
-        wire::FrameType type;
-        std::string body;
-        if (!wire::splitFrame(payload, type, body)) {
-            slot->proc.kill(SIGKILL);
-            reapWorker(*slot);
-            ++transport.workerCrashes;
-            out.failureKind = FailureKind::WorkerKilled;
-            out.unknownReason = "worker sent an unknown frame type";
-            break;
-        }
-        switch (type) {
-        case wire::FrameType::Heartbeat: {
-            wire::HeartbeatFrame beat;
-            std::string error;
-            if (wire::decodeHeartbeat(body, beat, error))
-                slot->lastRssKb = beat.rssKb;
-            break; // liveness refreshed above
-        }
-        case wire::FrameType::Result: {
-            wire::ResultFrame result;
-            std::string error;
-            if (!wire::decodeResult(body, result, error) ||
-                result.seq != seq) {
-                slot->proc.kill(SIGKILL);
-                reapWorker(*slot);
-                ++transport.workerCrashes;
-                out.failureKind = FailureKind::WorkerKilled;
-                out.unknownReason =
-                    error.empty() ? "worker answered the wrong query"
-                                  : "corrupt result frame: " + error;
-                done = true;
-                break;
-            }
-            out.result = result.result;
-            out.failureKind = result.failureKind;
-            out.unknownReason = result.unknownReason;
-            out.stats += result.stats;
-            slot->backoffMs = 0; // healthy answer resets the backoff
-            done = true;
-            break;
-        }
-        case wire::FrameType::Error: {
-            std::string message;
-            wire::decodeError(body, message);
-            // The worker refused the query (undecodable frame). Its
-            // session state is untrusted now; recycle the process.
-            slot->proc.kill(SIGKILL);
-            reapWorker(*slot);
-            ++transport.workerCrashes;
-            out.failureKind = FailureKind::SolverCrash;
-            out.unknownReason = "worker rejected query: " + message;
-            done = true;
-            break;
-        }
-        default:
-            slot->proc.kill(SIGKILL);
-            reapWorker(*slot);
-            ++transport.workerCrashes;
-            out.failureKind = FailureKind::WorkerKilled;
-            out.unknownReason = "unexpected frame from worker";
-            done = true;
-            break;
-        }
-    }
-
-    releaseSlot(slot);
-    out.stats += transport;
-    bumpTotals(transport);
-    return out;
-}
-
 namespace {
 
-/** Per-lane bookkeeping for one portfolio race. */
+/** Per-lane bookkeeping for one query (a race when several lanes). */
 struct LaneRun
 {
     std::string strategy;
@@ -568,9 +363,6 @@ struct LaneRun
     bool cancelSent = false;
     Clock::time_point cancelAt{};
     Clock::time_point lastFrame{};
-    std::string buf; ///< partial frame bytes (readExact accumulates)
-    uint32_t frameLen = 0;
-    bool haveHeader = false;
     SatResult result = SatResult::Unknown;
     FailureKind kind = FailureKind::None;
     std::string reason;
@@ -587,16 +379,12 @@ isDefinite(const LaneRun &lane)
 } // namespace
 
 WorkerSupervisor::QueryOutcome
-WorkerSupervisor::solveGroup(uint64_t sessionId,
-                             const std::vector<Term> &assertions,
-                             unsigned timeoutMs,
-                             const std::atomic<bool> *interrupted,
-                             const std::vector<std::string> &lanes)
+WorkerSupervisor::solve(uint64_t sessionId,
+                        const std::vector<Term> &assertions,
+                        unsigned timeoutMs,
+                        const std::atomic<bool> *interrupted,
+                        const std::vector<std::string> &lanes)
 {
-    if (lanes.size() <= 1) {
-        return solve(sessionId, assertions, timeoutMs, interrupted,
-                     lanes.empty() ? std::string() : lanes.front());
-    }
     QueryOutcome out;
     SolverStats transport;
     if (!started_) {
@@ -605,9 +393,14 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
         return out;
     }
 
+    // A race only when the caller asked for several lanes; one lane
+    // (or none: the default stack) is a plain sandboxed query.
+    bool race = lanes.size() > 1;
+    std::vector<std::string> strategies =
+        lanes.empty() ? std::vector<std::string>{std::string()} : lanes;
     // Racing more lanes than the pool has workers would block the
     // atomic lease forever; degrade to the widest race that fits.
-    size_t laneCount = std::min(lanes.size(), slots_.size());
+    size_t laneCount = std::min(strategies.size(), slots_.size());
     std::vector<Slot *> leased = leaseSlots(laneCount);
     uint64_t seq = nextQuerySeq_.fetch_add(1);
 
@@ -626,29 +419,46 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
         lane.reason = std::move(reason);
         --unfinished;
     };
+    // Kills the lane's worker for a protocol violation: its session
+    // state is untrusted, so the process is recycled.
+    auto killLane = [&](LaneRun &lane, Slot &slot, FailureKind kind,
+                        std::string reason) {
+        slot.proc.kill(SIGKILL);
+        reapWorker(slot);
+        ++transport.workerCrashes;
+        finishLane(lane, kind, std::move(reason));
+    };
 
     // Every lane gets the same query seq: a worker only ever has one
     // query in flight, so the seq disambiguates per-stream, and a
     // single seq lets one CancelFrame value serve the whole group.
     std::string spawnError;
     for (size_t i = 0; i < laneCount; ++i) {
-        runs[i].strategy = lanes[i];
-        runs[i].lastFrame = Clock::now();
+        runs[i].strategy = strategies[i];
         if (!cancelled() &&
-            dispatchQuery(*leased[i], sessionId, lanes[i], seq,
+            dispatchQuery(*leased[i], sessionId, strategies[i], seq,
                           assertions, timeoutMs, interrupted, transport,
                           spawnError)) {
+            // The heartbeat clock starts once the query is out: a
+            // respawn inside the dispatch is not worker silence.
+            runs[i].lastFrame = Clock::now();
             ++unfinished;
+            continue;
+        }
+        // Dead on arrival; a race tolerates it as long as some other
+        // lane dispatched.
+        runs[i].finished = true;
+        if (cancelled()) {
+            runs[i].kind = FailureKind::Cancelled;
+            runs[i].reason = "cancelled before dispatch";
         } else {
-            // Dead on arrival; the race tolerates it as long as some
-            // other lane dispatched.
-            runs[i].finished = true;
-            runs[i].kind = cancelled() ? FailureKind::Cancelled
-                                       : FailureKind::WorkerKilled;
+            runs[i].kind = FailureKind::WorkerKilled;
             runs[i].reason =
-                "cannot dispatch portfolio lane '" + lanes[i] + "'" +
-                (spawnError.empty() ? std::string()
-                                    : ": " + spawnError);
+                (race ? "cannot dispatch portfolio lane '" +
+                            strategies[i] + "'"
+                      : std::string("cannot dispatch to a sandbox "
+                                    "worker")) +
+                (spawnError.empty() ? std::string() : ": " + spawnError);
         }
     }
 
@@ -657,20 +467,84 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
             return;
         wire::CancelFrame cancel;
         cancel.seq = seq;
-        std::string bytes = wire::encodeCancel(cancel);
-        if (slot.proc.writeAll(bytes))
-            transport.wireBytesSent += bytes.size();
-        // A failed write means the worker already died; the read side
-        // of the pump will reap and classify it.
+        // A failed write means the worker already died; the pump will
+        // reap and classify it.
+        transmit(slot, wire::encodeCancel(cancel), transport);
         lane.cancelSent = true;
         lane.cancelAt = Clock::now();
     };
 
-    // --- Round-robin pump: first definite verdict wins ----------------
+    // Handles one whole frame from lane @p i's worker.
     int winner = -1;
+    auto onFrame = [&](size_t i, const std::string &payload) {
+        LaneRun &lane = runs[i];
+        Slot &slot = *leased[i];
+        lane.lastFrame = Clock::now();
+        wire::FrameType type;
+        std::string body;
+        if (!wire::splitFrame(payload, type, body)) {
+            killLane(lane, slot, FailureKind::WorkerKilled,
+                     "worker sent an unknown frame type");
+            return;
+        }
+        switch (type) {
+        case wire::FrameType::Heartbeat: {
+            wire::HeartbeatFrame beat;
+            std::string error;
+            if (wire::decodeHeartbeat(body, beat, error))
+                slot.lastRssKb = beat.rssKb;
+            break; // liveness refreshed above
+        }
+        case wire::FrameType::Result: {
+            wire::ResultFrame result;
+            std::string error;
+            if (!wire::decodeResult(body, result, error) ||
+                result.seq != seq) {
+                killLane(lane, slot, FailureKind::WorkerKilled,
+                         error.empty() ? "worker answered the wrong query"
+                                       : "corrupt result frame: " + error);
+                break;
+            }
+            lane.haveResult = true;
+            lane.result = result.result;
+            lane.stats = result.stats;
+            slot.backoffMs = 0; // healthy answer resets the backoff
+            finishLane(lane, result.failureKind, result.unknownReason);
+            if (isDefinite(lane) && winner < 0) {
+                winner = static_cast<int>(i);
+                for (size_t j = 0; j < runs.size(); ++j) {
+                    if (j != i)
+                        sendCancel(runs[j], *leased[j]);
+                }
+            }
+            break;
+        }
+        case wire::FrameType::Error: {
+            // The worker refused the query (undecodable frame).
+            std::string message;
+            wire::decodeError(body, message);
+            killLane(lane, slot, FailureKind::SolverCrash,
+                     "worker rejected query: " + message);
+            break;
+        }
+        default:
+            killLane(lane, slot, FailureKind::WorkerKilled,
+                     "unexpected frame from worker");
+            break;
+        }
+    };
+
+    // --- The reply pump: one poll over every unfinished lane ----------
+    // Receives are resumable, so a tick that ends mid-frame loses
+    // nothing; liveness deadlines are checked on every tick.
     bool userCancelled = false;
+    std::vector<pollfd> fds;
+    std::vector<size_t> owners;
     while (unfinished > 0) {
         if (cancelled()) {
+            // Cancellation beats every other classification: kill the
+            // workers (their in-flight query is abandoned) and report
+            // Cancelled so the caller never journals this verdict.
             userCancelled = true;
             for (size_t i = 0; i < runs.size(); ++i) {
                 if (runs[i].finished)
@@ -681,141 +555,80 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
             }
             break;
         }
-        for (size_t i = 0; i < runs.size() && unfinished > 0; ++i) {
+        fds.clear();
+        owners.clear();
+        for (size_t i = 0; i < runs.size(); ++i) {
+            if (!runs[i].finished) {
+                fds.push_back({leased[i]->proc.channel().readFd(), POLLIN,
+                               0});
+                owners.push_back(i);
+            }
+        }
+        // An interrupted poll is just an idle tick.
+        if (::poll(fds.data(), fds.size(), kPumpTickMs) < 0) {
+            for (pollfd &fd : fds)
+                fd.revents = 0;
+        }
+        for (size_t k = 0; k < fds.size(); ++k) {
+            size_t i = owners[k];
             LaneRun &lane = runs[i];
             Slot &slot = *leased[i];
-            if (lane.finished)
-                continue;
-            size_t want = lane.haveHeader ? lane.frameLen : 4;
-            support::IoStatus st = slot.proc.readExact(
-                lane.buf, want - lane.buf.size(), kGroupSliceMs);
-            if (st == support::IoStatus::Timeout) {
-                if (lane.cancelSent &&
-                    elapsedMs(lane.cancelAt) > kReapGraceMs) {
-                    // The loser ignored its Cancel frame (wedged in
-                    // native code); reap it the hard way. Still a
-                    // cancellation, not a timeout: the race was over.
-                    slot.proc.kill(SIGKILL);
-                    reapWorker(slot);
-                    finishLane(lane, FailureKind::Cancelled,
-                               "cancelled (killed after grace)");
-                } else if (elapsedMs(lane.lastFrame) >
-                           options_.heartbeatGraceMs) {
-                    slot.proc.kill(SIGKILL);
-                    reapWorker(slot);
-                    ++transport.heartbeatTimeouts;
-                    finishLane(lane, FailureKind::Timeout,
-                               "worker heartbeat deadline");
-                }
-                continue;
-            }
-            if (st != support::IoStatus::Ok) {
-                support::ExitStatus dead = reapWorker(slot);
-                ++transport.workerCrashes;
-                // A loser dying after its Cancel is still just a
-                // cancellation; an uncancelled lane's death is a real
-                // (contained) failure of that lane only.
-                finishLane(lane,
-                           lane.cancelSent
-                               ? FailureKind::Cancelled
-                               : classifyWorkerDeath(
-                                     dead, slot.lastRssKb,
-                                     options_.workerMemoryMb),
-                           "worker died (" + dead.describe() + ")");
-                continue;
-            }
-            if (!lane.haveHeader) {
-                wire::Decoder dec(lane.buf);
-                dec.u32(lane.frameLen);
-                if (lane.frameLen == 0 ||
-                    lane.frameLen > wire::kMaxFramePayload) {
-                    slot.proc.kill(SIGKILL);
-                    reapWorker(slot);
-                    ++transport.workerCrashes;
-                    finishLane(lane, FailureKind::WorkerKilled,
-                               "worker sent a corrupt frame");
+            if (fds[k].revents != 0) {
+                std::string payload;
+                support::IoStatus st =
+                    receive(slot, payload, kPumpTickMs, transport);
+                if (st == support::IoStatus::Ok) {
+                    onFrame(i, payload);
                     continue;
                 }
-                lane.haveHeader = true;
-                lane.buf.clear();
-                continue;
-            }
-
-            transport.wireBytesReceived += 4 + lane.buf.size();
-            lane.lastFrame = Clock::now();
-            std::string payload = std::move(lane.buf);
-            lane.buf.clear();
-            lane.haveHeader = false;
-
-            wire::FrameType type;
-            std::string body;
-            if (!wire::splitFrame(payload, type, body)) {
-                slot.proc.kill(SIGKILL);
-                reapWorker(slot);
-                ++transport.workerCrashes;
-                finishLane(lane, FailureKind::WorkerKilled,
-                           "worker sent an unknown frame type");
-                continue;
-            }
-            switch (type) {
-            case wire::FrameType::Heartbeat: {
-                wire::HeartbeatFrame beat;
-                std::string error;
-                if (wire::decodeHeartbeat(body, beat, error))
-                    slot.lastRssKb = beat.rssKb;
-                break;
-            }
-            case wire::FrameType::Result: {
-                wire::ResultFrame result;
-                std::string error;
-                if (!wire::decodeResult(body, result, error) ||
-                    result.seq != seq) {
-                    slot.proc.kill(SIGKILL);
-                    reapWorker(slot);
+                if (st == support::IoStatus::Error) {
+                    killLane(lane, slot, FailureKind::WorkerKilled,
+                             "worker sent a corrupt frame");
+                    continue;
+                }
+                if (st == support::IoStatus::Eof) {
+                    support::ExitStatus dead = reapWorker(slot);
                     ++transport.workerCrashes;
-                    finishLane(lane, FailureKind::WorkerKilled,
-                               error.empty()
-                                   ? "worker answered the wrong query"
-                                   : "corrupt result frame: " + error);
-                    break;
+                    // A loser dying after its Cancel is still just a
+                    // cancellation; an uncancelled lane's death is a
+                    // real (contained) failure of that lane only.
+                    finishLane(lane,
+                               lane.cancelSent
+                                   ? FailureKind::Cancelled
+                                   : classifyWorkerDeath(
+                                         dead, slot.lastRssKb,
+                                         options_.workerMemoryMb),
+                               "worker died (" + dead.describe() + ")");
+                    continue;
                 }
-                lane.haveResult = true;
-                lane.result = result.result;
-                lane.stats = result.stats;
-                slot.backoffMs = 0;
-                finishLane(lane, result.failureKind,
-                           result.unknownReason);
-                if (isDefinite(lane) && winner < 0) {
-                    winner = static_cast<int>(i);
-                    for (size_t j = 0; j < runs.size(); ++j) {
-                        if (j != i)
-                            sendCancel(runs[j], *leased[j]);
-                    }
-                }
-                break;
+                // Timeout: the frame is still arriving; it resumes on
+                // the next tick.
             }
-            case wire::FrameType::Error: {
-                std::string message;
-                wire::decodeError(body, message);
+            if (lane.cancelSent &&
+                elapsedMs(lane.cancelAt) > kReapGraceMs) {
+                // The loser ignored its Cancel frame (wedged in native
+                // code); reap it the hard way. Still a cancellation,
+                // not a timeout: the race was over.
                 slot.proc.kill(SIGKILL);
                 reapWorker(slot);
-                ++transport.workerCrashes;
-                finishLane(lane, FailureKind::SolverCrash,
-                           "worker rejected query: " + message);
-                break;
-            }
-            default:
+                finishLane(lane, FailureKind::Cancelled,
+                           "cancelled (killed after grace)");
+            } else if (elapsedMs(lane.lastFrame) >
+                       options_.heartbeatGraceMs) {
+                // Silent worker: wedged in native code, SIGSTOPped, or
+                // spinning without heartbeats. Kill and classify as a
+                // timeout — the query never produced evidence of a
+                // crash, only of taking too long.
                 slot.proc.kill(SIGKILL);
                 reapWorker(slot);
-                ++transport.workerCrashes;
-                finishLane(lane, FailureKind::WorkerKilled,
-                           "unexpected frame from worker");
-                break;
+                ++transport.heartbeatTimeouts;
+                finishLane(lane, FailureKind::Timeout,
+                           "worker heartbeat deadline");
             }
         }
     }
 
-    // --- Classify the race ---------------------------------------------
+    // --- Classify ------------------------------------------------------
     for (const LaneRun &lane : runs)
         out.stats += lane.stats;
 
@@ -828,7 +641,14 @@ WorkerSupervisor::solveGroup(uint64_t sessionId,
         sawUnsat = sawUnsat || lane.result == SatResult::Unsat;
     }
 
-    if (userCancelled) {
+    if (!race) {
+        // A lone lane's outcome is the worker's, exactly as sent: an
+        // unclassified Unknown keeps FailureKind::None.
+        const LaneRun &lane = runs.front();
+        out.result = lane.result;
+        out.failureKind = lane.kind;
+        out.unknownReason = lane.reason;
+    } else if (userCancelled) {
         out.result = SatResult::Unknown;
         out.failureKind = FailureKind::Cancelled;
         out.unknownReason = "cancelled";
@@ -927,15 +747,8 @@ SandboxSolver::checkSat(const std::vector<Term> &assertions)
 {
     interrupted_.store(false, std::memory_order_relaxed);
     ++stats_.queries;
-    WorkerSupervisor::QueryOutcome outcome =
-        laneStrategies_.size() > 1
-            ? supervisor_.solveGroup(sessionId_, assertions, timeoutMs_,
-                                     &interrupted_, laneStrategies_)
-            : supervisor_.solve(sessionId_, assertions, timeoutMs_,
-                                &interrupted_,
-                                laneStrategies_.empty()
-                                    ? std::string()
-                                    : laneStrategies_.front());
+    WorkerSupervisor::QueryOutcome outcome = supervisor_.solve(
+        sessionId_, assertions, timeoutMs_, &interrupted_, laneStrategies_);
     switch (outcome.result) {
     case SatResult::Sat:
         ++stats_.sat;

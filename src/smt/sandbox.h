@@ -152,44 +152,40 @@ class WorkerSupervisor
     };
 
     /**
-     * Ships one checkSat to a leased worker and blocks for the
-     * outcome. @p sessionId groups queries that share a TermFactory
-     * (variable namespace); the supervisor resets a worker whenever it
-     * switches sessions or lane strategies. @p interrupted, when
-     * non-null, is polled while awaiting the result — setting it
-     * cancels the query by killing the worker (classified Cancelled,
-     * not a crash). @p strategy names the portfolio lane the worker
-     * session's backend is built from ("" = default stack).
+     * Ships one checkSat to leased workers and blocks for the outcome.
+     * @p sessionId groups queries that share a TermFactory (variable
+     * namespace); the supervisor resets a worker whenever it switches
+     * sessions or lane strategies. @p interrupted, when non-null, is
+     * polled while awaiting the result — setting it cancels the query
+     * by killing the workers (classified Cancelled, not a crash).
+     *
+     * @p lanes names the portfolio lane strategies the worker sessions'
+     * backends are built from. With none or one ("" = default stack)
+     * this is a plain sandboxed query whose outcome is the worker's
+     * Result exactly as sent. With several it is a race: the same
+     * checkSat goes to one worker per lane, the first definite
+     * Sat/Unsat wins, and every other in-flight lane is sent a wire
+     * Cancel frame; its (Cancelled) result is reaped but never
+     * surfaced — a losing lane contributes portfolioCancellations, not
+     * a user-visible FailureKind::Cancelled. A lane that dies mid-race
+     * (chaos kill, OOM) is ignored as long as some other lane answers;
+     * the race only fails when *every* lane fails. Two lanes returning
+     * conflicting definite verdicts is a soundness signal: the outcome
+     * is Unknown with FailureKind::PortfolioDisagreement and
+     * crossLaneDisagreements bumped. Wins land in
+     * stats.portfolioWins[lane] of the returned outcome.
+     *
+     * One reply pump serves every lane count: a single poll(2) over the
+     * unfinished lanes' pipes, ticking at most every 10 ms. Slots are
+     * leased atomically (all lanes or none, under one lock) so two
+     * concurrent races cannot deadlock on a partial grab; the lane
+     * count is clamped to the pool size.
      */
     QueryOutcome solve(uint64_t sessionId,
                        const std::vector<Term> &assertions,
                        unsigned timeoutMs,
                        const std::atomic<bool> *interrupted,
-                       const std::string &strategy = std::string());
-
-    /**
-     * Portfolio race: ships the same checkSat to one worker per lane
-     * strategy and blocks until the race resolves. The first definite
-     * Sat/Unsat wins; every other in-flight lane is sent a wire Cancel
-     * frame and its (Cancelled) result is reaped but never surfaced —
-     * a losing lane contributes portfolioCancellations, not a
-     * user-visible FailureKind::Cancelled. A lane that dies mid-race
-     * (chaos kill, OOM) is ignored as long as some other lane answers;
-     * the race only fails when *every* lane fails. Two lanes returning
-     * conflicting definite verdicts is a soundness signal: the outcome
-     * is Unknown with FailureKind::PortfolioDisagreement and
-     * crossLaneDisagreements bumped.
-     *
-     * Slots are leased atomically (all lanes or none, under one lock)
-     * so two concurrent group solves cannot deadlock on a partial
-     * grab; the lane count is clamped to the pool size. Wins land in
-     * stats.portfolioWins[lane] of the returned outcome.
-     */
-    QueryOutcome solveGroup(uint64_t sessionId,
-                            const std::vector<Term> &assertions,
-                            unsigned timeoutMs,
-                            const std::atomic<bool> *interrupted,
-                            const std::vector<std::string> &lanes);
+                       const std::vector<std::string> &lanes);
 
     /** Fresh session identifier (never 0). */
     uint64_t newSessionId();
@@ -222,14 +218,19 @@ class WorkerSupervisor
         bool everSpawned = false; ///< distinguishes restarts from starts
     };
 
-    Slot *leaseSlot();
     /** Atomically leases @p n slots (all-or-nothing, deadlock-free). */
     std::vector<Slot *> leaseSlots(size_t n);
     void releaseSlot(Slot *slot);
+    /** Sends one frame to the slot's worker, counting its bytes. */
+    bool transmit(Slot &slot, const std::string &frame,
+                  SolverStats &transport);
+    /** Receives one frame from the slot's worker, counting its bytes. */
+    support::IoStatus receive(Slot &slot, std::string &payload,
+                              unsigned deadlineMs, SolverStats &transport);
     /**
-     * Dispatch helper shared by solve/solveGroup: respawn if needed,
-     * Reset on session/strategy switch, ship the Query. Returns false
-     * when the slot's worker died mid-dispatch (already reaped).
+     * Dispatches one lane of solve: respawn if needed, Reset on a
+     * session/strategy switch, ship the Query. Returns false when the
+     * slot's worker died mid-dispatch (already reaped).
      */
     bool dispatchQuery(Slot &slot, uint64_t sessionId,
                        const std::string &strategy, uint64_t seq,
@@ -271,8 +272,8 @@ class WorkerSupervisor
  * heavyweight pool is shared through the supervisor reference.
  *
  * With more than one lane strategy the facade races each checkSat
- * across a worker group (WorkerSupervisor::solveGroup); with exactly
- * one it pins the session to that lane's backend; with none it is
+ * across a worker group (WorkerSupervisor::solve); with exactly one it
+ * pins the session to that lane's backend; with none it is
  * byte-identical to the pre-portfolio sandbox.
  */
 class SandboxSolver : public Solver

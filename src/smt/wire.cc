@@ -666,8 +666,10 @@ encodeReset(const ResetFrame &frame)
     Encoder enc;
     enc.u32(frame.timeoutMs);
     enc.u32(frame.memoryBudgetMb);
-    enc.u8(frame.useCache);
-    enc.u8(frame.useGuard);
+    // Two retired flag bytes (once useCache/useGuard), always 1: every
+    // worker session runs the full cache + guard stack.
+    enc.u8(1);
+    enc.u8(1);
     enc.str(frame.strategy);
     return frameBytes(FrameType::Reset, enc.take());
 }
@@ -899,9 +901,9 @@ bool
 decodeReset(const std::string &body, ResetFrame &out, std::string &error)
 {
     Decoder dec(body);
+    uint8_t retired = 0;
     dec.u32(out.timeoutMs) && dec.u32(out.memoryBudgetMb) &&
-        dec.u8(out.useCache) && dec.u8(out.useGuard) &&
-        dec.str(out.strategy);
+        dec.u8(retired) && dec.u8(retired) && dec.str(out.strategy);
     return finish(dec, error);
 }
 

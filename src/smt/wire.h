@@ -41,6 +41,7 @@
 
 #include "src/smt/solver.h"
 #include "src/smt/term.h"
+#include "src/support/framed_channel.h"
 
 namespace keq::smt {
 
@@ -81,8 +82,8 @@ constexpr uint32_t kMinServiceProtocolVersion = 4;
  */
 constexpr uint32_t kServiceMagic = 0x4451454bu;
 
-/** Upper bound on a single frame payload; larger lengths are corrupt. */
-constexpr uint32_t kMaxFramePayload = 64u << 20;
+/** Upper bound on a single frame payload (enforced by FramedChannel). */
+using support::kMaxFramePayload;
 
 /** Frame discriminator (first payload byte). */
 enum class FrameType : uint8_t {
@@ -211,8 +212,6 @@ struct ResetFrame
 {
     uint32_t timeoutMs = 0;      ///< per-query solver deadline
     uint32_t memoryBudgetMb = 0; ///< soft solver budget (0 = none)
-    uint8_t useCache = 1;        ///< front the backend with a cache
-    uint8_t useGuard = 1;        ///< wrap the stack in a GuardedSolver
     /**
      * Portfolio lane name the session's backend is built from
      * ("default", "int2bv", "cold", "seed<K>", optionally with

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -32,14 +31,16 @@ ExitStatus::describe() const
     return "still running";
 }
 
-Subprocess::~Subprocess()
+Subprocess::~Subprocess() { killAndReap(); }
+
+void
+Subprocess::killAndReap()
 {
     if (running()) {
         ::kill(pid_, SIGKILL);
         int raw = 0;
         ::waitpid(pid_, &raw, 0);
     }
-    closePipes();
 }
 
 Subprocess::Subprocess(Subprocess &&rhs) noexcept
@@ -51,10 +52,9 @@ Subprocess &
 Subprocess::operator=(Subprocess &&rhs) noexcept
 {
     if (this != &rhs) {
-        this->~Subprocess();
+        killAndReap();
         pid_ = rhs.pid_;
-        inFd_ = rhs.inFd_;
-        outFd_ = rhs.outFd_;
+        channel_ = std::move(rhs.channel_);
         reaped_ = rhs.reaped_;
         status_ = rhs.status_;
         rhs.reset();
@@ -66,21 +66,8 @@ void
 Subprocess::reset()
 {
     pid_ = -1;
-    inFd_ = -1;
-    outFd_ = -1;
     reaped_ = false;
     status_ = ExitStatus{};
-}
-
-void
-Subprocess::closePipes()
-{
-    if (inFd_ >= 0)
-        ::close(inFd_);
-    if (outFd_ >= 0)
-        ::close(outFd_);
-    inFd_ = -1;
-    outFd_ = -1;
 }
 
 bool
@@ -169,73 +156,9 @@ Subprocess::spawn(const std::vector<std::string> &argv,
     }
 
     pid_ = pid;
-    inFd_ = toChild[1];
-    outFd_ = fromChild[0];
+    channel_ = FramedChannel(fromChild[0], toChild[1]);
     reaped_ = false;
     status_ = ExitStatus{};
-    return true;
-}
-
-IoStatus
-Subprocess::readExact(std::string &out, size_t bytes,
-                      unsigned deadline_ms)
-{
-    if (outFd_ < 0)
-        return IoStatus::Error;
-    Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(deadline_ms);
-    size_t remaining = bytes;
-    char buffer[4096];
-    while (remaining > 0) {
-        int wait_ms = -1;
-        if (deadline_ms > 0) {
-            auto left = std::chrono::duration_cast<
-                std::chrono::milliseconds>(deadline - Clock::now());
-            if (left.count() <= 0)
-                return IoStatus::Timeout;
-            wait_ms = static_cast<int>(left.count());
-        }
-        struct pollfd pfd = {outFd_, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, wait_ms);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoStatus::Error;
-        }
-        if (ready == 0)
-            return IoStatus::Timeout;
-        size_t chunk = remaining < sizeof buffer ? remaining
-                                                 : sizeof buffer;
-        ssize_t got = ::read(outFd_, buffer, chunk);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoStatus::Error;
-        }
-        if (got == 0)
-            return IoStatus::Eof;
-        out.append(buffer, static_cast<size_t>(got));
-        remaining -= static_cast<size_t>(got);
-    }
-    return IoStatus::Ok;
-}
-
-bool
-Subprocess::writeAll(const std::string &bytes)
-{
-    if (inFd_ < 0)
-        return false;
-    size_t offset = 0;
-    while (offset < bytes.size()) {
-        ssize_t wrote =
-            ::write(inFd_, bytes.data() + offset, bytes.size() - offset);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            return false; // EPIPE: dead worker (SIGPIPE is ignored)
-        }
-        offset += static_cast<size_t>(wrote);
-    }
     return true;
 }
 

@@ -7,23 +7,23 @@
  *
  * The out-of-process solver workers (smt::WorkerSupervisor) need exactly
  * four things from the OS: spawn a child with its stdin/stdout replaced
- * by pipes, exchange bytes on those pipes with a deadline, deliver
+ * by pipes, exchange frames on those pipes with a deadline, deliver
  * signals, and classify how the child died. Subprocess wraps that and
  * nothing more — no shell, no pty, no environment surgery — so the
  * sandbox layer stays portable across the POSIX systems we build on.
  *
- * Reads are deadline-aware (poll + read loop): the supervisor's
- * heartbeat protocol turns "no bytes for too long" into a contained,
- * classified worker failure instead of a hung parent. Writes are
- * blocking but EPIPE-safe: SIGPIPE must be ignored process-wide (the
- * supervisor arranges this) so writing to a crashed worker surfaces as
- * an error return, never a parent death.
+ * The pipe pair is a support::FramedChannel (framed_channel.h), the
+ * same transport keqd uses on sockets: deadline-aware, resumable
+ * receives, so the supervisor's heartbeat protocol turns "no bytes for
+ * too long" into a contained, classified worker failure instead of a
+ * hung parent; and EPIPE-safe sends, so writing to a crashed worker
+ * surfaces as an error return, never a parent death.
  */
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "src/support/framed_channel.h"
 
 namespace keq::support {
 
@@ -37,14 +37,6 @@ struct ExitStatus
 
     /** "exit code N" / "signal N (SIGxxx)" for diagnostics. */
     std::string describe() const;
-};
-
-/** Result of a deadline-aware read. */
-enum class IoStatus {
-    Ok,      ///< the requested bytes arrived
-    Eof,     ///< the peer closed the pipe (worker died)
-    Timeout, ///< deadline expired with bytes still missing
-    Error,   ///< errno-level failure
 };
 
 /**
@@ -80,16 +72,8 @@ class Subprocess
     bool running() const { return pid_ > 0 && !reaped_; }
     int pid() const { return pid_; }
 
-    /**
-     * Appends to @p out until @p bytes more bytes arrived or
-     * @p deadline_ms expired (0 = wait forever). Partial data stays in
-     * @p out on Timeout/Eof so callers can diagnose torn frames.
-     */
-    IoStatus readExact(std::string &out, size_t bytes,
-                       unsigned deadline_ms);
-
-    /** Writes all of @p bytes; false on any error (e.g. dead peer). */
-    bool writeAll(const std::string &bytes);
+    /** The frame transport to the child (its stdout -> its stdin). */
+    FramedChannel &channel() { return channel_; }
 
     /** Sends @p signo; false when the child is already gone. */
     bool kill(int signo);
@@ -108,12 +92,11 @@ class Subprocess
     ExitStatus waitOrKill(unsigned grace_ms);
 
   private:
-    void closePipes();
+    void killAndReap();
     void reset();
 
     int pid_ = -1;
-    int inFd_ = -1;  ///< parent write end (child stdin)
-    int outFd_ = -1; ///< parent read end (child stdout)
+    FramedChannel channel_;
     bool reaped_ = false;
     ExitStatus status_;
 };

@@ -38,7 +38,9 @@ TEST(ParallelPipelineTest, ParallelVerdictsMatchSerialAtEveryJobCount)
     PipelineOptions options; // no wall budgets: verdicts must be
                              // timing-independent
 
-    Pipeline serial(options, ExecutionOptions{.jobs = 1});
+    ExecutionOptions serialExec;
+    serialExec.jobs = 1;
+    Pipeline serial(options, serialExec);
     ModuleReport reference = serial.run(module);
     ASSERT_FALSE(reference.functions.empty());
 
@@ -146,9 +148,10 @@ TEST(ParallelPipelineTest, SharedCacheSurvivesConcurrentWorkers)
             // Preprocessing off: these tiny queries would be resolved
             // by the rewrite engine, and this test is specifically
             // about hammering the shared cache.
-            smt::CachingSolver solver(tf, backend, cache,
-                                      {.simplify = false,
-                                       .slice = false});
+            smt::CachingSolverOptions cacheOnly;
+            cacheOnly.simplify = false;
+            cacheOnly.slice = false;
+            smt::CachingSolver solver(tf, backend, cache, cacheOnly);
             smt::Term x = tf.var("x", smt::Sort::bitVec(32));
             for (unsigned i = 0; i < kQueries; ++i) {
                 // Same query stream in every thread: maximal contention

@@ -9,10 +9,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <sys/socket.h>
 #include <thread>
 #include <vector>
 
 #include "src/conformance/corpus.h"
+#include "src/driver/checkpoint.h"
 #include "src/driver/corpus.h"
 #include "src/driver/pipeline.h"
 #include "src/llvmir/parser.h"
@@ -238,6 +240,74 @@ TEST(DaemonTest, VerdictsMatchLocalPipeline)
 
     EXPECT_EQ(canonicalSummary(reports),
               localSummary(source, poptions));
+}
+
+/**
+ * A frame whose bytes arrive in two bursts far apart (a TCP
+ * retransmission mid-frame, a stalled writer) is still one frame. Each
+ * frame here is cut inside its payload and its tail sent 350 ms later,
+ * past the session reader's 200 ms tick: the reader must resume the
+ * partial frame, not drop it and misread the tail as a new length.
+ */
+TEST(DaemonTest, FramesSplitAcrossReaderTicksAreAnswered)
+{
+    std::string source = testModule(1);
+    ServerOptions options;
+    options.socketPath = socketPath("slowframe");
+    options.jobs = 1;
+    Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    int fd = -1;
+    ASSERT_TRUE(connectUnix(options.socketPath, 2000, fd, error))
+        << error;
+    WireChannel channel(fd);
+    ASSERT_TRUE(channel.sendFrame(
+        wire::encodeClientHello(wire::ClientHelloFrame{})));
+    std::string payload;
+    ASSERT_EQ(channel.recvFrame(payload, 5000), support::IoStatus::Ok);
+
+    auto sendSplit = [&](const std::string &frame) {
+        const size_t cut = 6;
+        ASSERT_EQ(::send(fd, frame.data(), cut, MSG_NOSIGNAL),
+                  static_cast<ssize_t>(cut));
+        std::this_thread::sleep_for(std::chrono::milliseconds(350));
+        ASSERT_EQ(::send(fd, frame.data() + cut, frame.size() - cut,
+                         MSG_NOSIGNAL),
+                  static_cast<ssize_t>(frame.size() - cut));
+    };
+    wire::FrameType type{};
+    std::string body;
+
+    wire::PingFrame ping;
+    ping.nonce = 0x51017f;
+    sendSplit(wire::encodePing(ping));
+    ASSERT_EQ(channel.recvFrame(payload, 5000), support::IoStatus::Ok);
+    ASSERT_TRUE(wire::splitFrame(payload, type, body));
+    ASSERT_EQ(type, wire::FrameType::Pong);
+    wire::PongFrame pong;
+    ASSERT_TRUE(wire::decodePong(body, pong, error)) << error;
+    EXPECT_EQ(pong.nonce, ping.nonce);
+
+    wire::SubmitJobFrame job;
+    job.jobId = 1;
+    job.function = definedFunctions(source).front();
+    job.moduleText = source;
+    job.options = encodeJobOptions(driver::PipelineOptions{});
+    sendSplit(wire::encodeSubmitJob(job));
+    ASSERT_EQ(channel.recvFrame(payload, 60000), support::IoStatus::Ok);
+    ASSERT_TRUE(wire::splitFrame(payload, type, body));
+    ASSERT_EQ(type, wire::FrameType::JobVerdict);
+    wire::JobVerdictFrame verdict;
+    ASSERT_TRUE(wire::decodeJobVerdict(body, verdict, error)) << error;
+    EXPECT_EQ(verdict.jobId, 1u);
+    driver::FunctionReport report;
+    ASSERT_TRUE(driver::deserializeFunctionReport(verdict.report, report));
+    report.verdict.stats.solverStats = verdict.stats;
+    EXPECT_EQ(canonicalSummary({report}),
+              localSummary(source, driver::PipelineOptions{}));
+    server.stop();
 }
 
 TEST(DaemonTest, SecondClientRunsFullyWarm)

@@ -153,8 +153,9 @@ TEST(ServiceChaosTest, SigkillMidRunDegradesWithoutHanging)
         }
         ++index;
     }
-    if (!complete)
+    if (!complete) {
         EXPECT_GT(recomputed, 0u);
+    }
 
     driver::Pipeline reference(poptions);
     EXPECT_EQ(merged.canonicalSummary(),

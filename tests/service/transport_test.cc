@@ -1,11 +1,13 @@
 /** @file Transport seam: endpoint-URI parsing (valid + malformed
  *  table), TCP/Unix listener round-trips, and the fragmenting
  *  fault-injection property — wire frames reassemble byte-identically
- *  no matter how the kernel (or a hostile writer) splits them, torn
- *  frames are typed Eof, and a silent peer is a typed Timeout. */
+ *  on sockets and pipes no matter how the kernel (or a hostile writer)
+ *  splits them, a deadline that cuts a frame resumes it, torn frames
+ *  are typed Eof, and a silent peer is a typed Timeout. */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <filesystem>
 #include <string>
 #include <sys/socket.h>
@@ -132,9 +134,10 @@ TEST(EndpointTest, MalformedSpecsFailWithPointedDiagnostics)
         EXPECT_NE(error.find(row.needle), std::string::npos)
             << "'" << row.spec << "' produced unhelpful error: "
             << error;
-        if (row.spec[0] != '\0')
+        if (row.spec[0] != '\0') {
             EXPECT_NE(error.find(row.spec), std::string::npos)
                 << "error does not name the offending spec: " << error;
+        }
     }
 }
 
@@ -258,15 +261,28 @@ TEST(TransportTest, ConnectToDeadTcpPortFailsWithinBudget)
 
 // ---- fragmentation / short-I/O fault injection ----
 
-/** A connected AF_UNIX socketpair wrapped as two WireChannels. */
+/**
+ * Two connected channels: an AF_UNIX socketpair (the keqd transport)
+ * or, with @p pipes, two pipes (the sandbox worker transport).
+ */
 struct ChannelPair
 {
-    ChannelPair()
+    explicit ChannelPair(bool pipes = false)
     {
-        int fds[2] = {-1, -1};
-        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0) {
-            a = WireChannel(fds[0]);
-            b = WireChannel(fds[1]);
+        if (!pipes) {
+            int fds[2] = {-1, -1};
+            if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0) {
+                a = WireChannel(fds[0]);
+                b = WireChannel(fds[1]);
+            }
+            return;
+        }
+        int aToB[2] = {-1, -1};
+        int bToA[2] = {-1, -1};
+        if (::pipe2(aToB, O_CLOEXEC) == 0 &&
+            ::pipe2(bToA, O_CLOEXEC) == 0) {
+            a = WireChannel(bToA[0], aToB[1]);
+            b = WireChannel(aToB[0], bToA[1]);
         }
     }
     WireChannel a;
@@ -288,8 +304,7 @@ writeFragmented(int fd, const std::string &bytes, support::Rng &rng,
     while (offset < bytes.size()) {
         size_t chunk =
             1 + rng.below(std::min(maxChunk, bytes.size() - offset));
-        ssize_t wrote =
-            ::send(fd, bytes.data() + offset, chunk, MSG_NOSIGNAL);
+        ssize_t wrote = ::write(fd, bytes.data() + offset, chunk);
         ASSERT_GT(wrote, 0) << "fragmented send failed";
         offset += static_cast<size_t>(wrote);
         if (rng.below(4) == 0)
@@ -299,9 +314,6 @@ writeFragmented(int fd, const std::string &bytes, support::Rng &rng,
 
 TEST(TransportTest, FramesSurviveArbitraryFragmentation)
 {
-    ChannelPair pair;
-    ASSERT_TRUE(pair.a.valid());
-
     // Frames from tiny to bigger-than-any-single-read, including a
     // payload crossing the typical 4 KiB pipe/socket buffer boundary.
     std::vector<std::string> payloads;
@@ -315,25 +327,32 @@ TEST(TransportTest, FramesSurviveArbitraryFragmentation)
         payloads.push_back(std::move(payload));
     }
 
-    support::Rng rng(0x5e41ce02ull);
-    std::thread writer([&] {
-        for (const std::string &payload : payloads) {
-            std::string framed =
-                wire::frameBytes(wire::FrameType::Error, payload);
-            writeFragmented(pair.a.fd(), framed, rng, 113);
-        }
-    });
+    // Both transports: the keqd socket and the sandbox pipe pair.
+    for (bool pipes : {false, true}) {
+        SCOPED_TRACE(pipes ? "pipe pair" : "socketpair");
+        ChannelPair pair(pipes);
+        ASSERT_TRUE(pair.a.valid());
 
-    for (const std::string &expected : payloads) {
-        std::string payload;
-        ASSERT_EQ(pair.b.recvFrame(payload, 10000), IoStatus::Ok);
-        // recvFrame returns type byte + body; compare the body.
-        ASSERT_GE(payload.size(), 1u);
-        EXPECT_EQ(payload.substr(1), expected)
-            << "frame of " << expected.size()
-            << " bytes reassembled differently";
+        support::Rng rng(0x5e41ce02ull);
+        std::thread writer([&] {
+            for (const std::string &payload : payloads) {
+                std::string framed =
+                    wire::frameBytes(wire::FrameType::Error, payload);
+                writeFragmented(pair.a.writeFd(), framed, rng, 113);
+            }
+        });
+
+        for (const std::string &expected : payloads) {
+            std::string payload;
+            ASSERT_EQ(pair.b.recvFrame(payload, 10000), IoStatus::Ok);
+            // recvFrame returns type byte + body; compare the body.
+            ASSERT_GE(payload.size(), 1u);
+            EXPECT_EQ(payload.substr(1), expected)
+                << "frame of " << expected.size()
+                << " bytes reassembled differently";
+        }
+        writer.join();
     }
-    writer.join();
 }
 
 /** Same property, full codec: a SubmitJob frame fragmented at hostile
@@ -353,7 +372,7 @@ TEST(TransportTest, SubmitJobSurvivesFragmentation)
 
     support::Rng rng(0x5e41ce03ull);
     std::thread writer(
-        [&] { writeFragmented(pair.a.fd(), framed, rng, 7); });
+        [&] { writeFragmented(pair.a.writeFd(), framed, rng, 7); });
 
     std::string payload;
     ASSERT_EQ(pair.b.recvFrame(payload, 10000), IoStatus::Ok);
@@ -379,8 +398,8 @@ TEST(TransportTest, TruncatedFrameIsTypedEof)
     // Announce 100 bytes, deliver 10, hang up.
     std::string framed =
         wire::frameBytes(wire::FrameType::Error, std::string(99, 'x'));
-    ASSERT_TRUE(::send(pair.a.fd(), framed.data(), 14, MSG_NOSIGNAL) ==
-                14);
+    ASSERT_TRUE(::send(pair.a.writeFd(), framed.data(), 14,
+                       MSG_NOSIGNAL) == 14);
     pair.a.close();
 
     std::string payload;
@@ -402,25 +421,32 @@ TEST(TransportTest, SilentPeerIsTypedTimeout)
     EXPECT_LT(elapsed, 5000);
 }
 
-/** waitReadable never consumes bytes: after it reports Ok the full
- *  frame is still there for recvFrame — the heartbeat poll cannot tear
- *  frames by construction. */
-TEST(TransportTest, WaitReadableDoesNotConsume)
+/** A deadline that expires mid-frame is a Timeout that keeps the
+ *  partial frame: the next recvFrame continues it, so heartbeat and
+ *  stop-check ticks can never tear a frame. */
+TEST(TransportTest, RecvResumesAFrameCutByItsDeadline)
 {
-    ChannelPair pair;
-    ASSERT_TRUE(pair.a.valid());
+    for (bool pipes : {false, true}) {
+        SCOPED_TRACE(pipes ? "pipe pair" : "socketpair");
+        ChannelPair pair(pipes);
+        ASSERT_TRUE(pair.a.valid());
+        std::string framed =
+            wire::frameBytes(wire::FrameType::Error, "intact payload");
+        // Cut inside the payload, after the length prefix.
+        ASSERT_EQ(::write(pair.a.writeFd(), framed.data(), 6), 6);
 
-    EXPECT_EQ(pair.b.waitReadable(100), IoStatus::Timeout);
+        std::string payload = "untouched";
+        EXPECT_EQ(pair.b.recvFrame(payload, 100), IoStatus::Timeout);
+        EXPECT_EQ(payload, "untouched");
+        EXPECT_EQ(pair.b.bytesReceived(), 0u);
 
-    std::string framed =
-        wire::frameBytes(wire::FrameType::Error, "intact");
-    ASSERT_TRUE(pair.a.sendFrame(framed));
-    ASSERT_EQ(pair.b.waitReadable(2000), IoStatus::Ok);
-    // Poll again: still readable, still unconsumed.
-    ASSERT_EQ(pair.b.waitReadable(2000), IoStatus::Ok);
-    std::string payload;
-    ASSERT_EQ(pair.b.recvFrame(payload, 2000), IoStatus::Ok);
-    EXPECT_NE(payload.find("intact"), std::string::npos);
+        ASSERT_EQ(::write(pair.a.writeFd(), framed.data() + 6,
+                          framed.size() - 6),
+                  static_cast<ssize_t>(framed.size() - 6));
+        ASSERT_EQ(pair.b.recvFrame(payload, 2000), IoStatus::Ok);
+        EXPECT_EQ(payload, framed.substr(4));
+        EXPECT_EQ(pair.b.bytesReceived(), framed.size());
+    }
 }
 
 } // namespace

@@ -74,8 +74,12 @@ var32(TermFactory &tf, const char *name)
  * slicer_test) plus stack-level ones at the bottom of this file.
  */
 // Not constexpr: the audit hooks added to Options are std::functions.
-const CachingSolver::Options kCacheOnly{/*simplify=*/false,
-                                        /*slice=*/false};
+const CachingSolver::Options kCacheOnly = [] {
+    CachingSolver::Options options;
+    options.simplify = false;
+    options.slice = false;
+    return options;
+}();
 
 /**
  * x == a && x == b with a != b: unsatisfiable, so neither pooled models
@@ -388,7 +392,7 @@ auditEverything(std::shared_ptr<std::deque<SatResult>> script,
                 std::shared_ptr<size_t> calls,
                 SatResult fallback = SatResult::Unsat)
 {
-    CachingSolver::Options options{/*simplify=*/false, /*slice=*/false};
+    CachingSolver::Options options = kCacheOnly;
     options.auditRate = 1.0;
     options.auditSolverFactory =
         [script, calls, fallback](TermFactory &tf)

@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "src/smt/guarded_solver.h"
+#include "src/smt/incremental_z3_solver.h"
 #include "src/smt/term_factory.h"
+#include "src/smt/z3_solver.h"
 #include "src/support/cancellation.h"
 
 namespace keq::smt {
@@ -289,6 +291,34 @@ TEST(GuardedSolverTest, MidQueryCancellationInterruptsTheBackend)
     EXPECT_EQ(result, SatResult::Unknown);
     EXPECT_EQ(guard.lastFailureKind(), FailureKind::Cancelled);
     EXPECT_EQ(primary.calls(), 1u) << "cancelled work is not retried";
+}
+
+/**
+ * A worker's Cancel that arrives after its query already answered
+ * interrupts an idle incremental backend. The stray interrupt must
+ * cost nothing: the next queries resolve on the primary rung, with no
+ * escalation to the fallback.
+ */
+TEST(GuardedSolverTest, IdleCancelLeavesTheNextQueriesOnThePrimary)
+{
+    TermFactory tf;
+    IncrementalZ3Solver primary(tf);
+    GuardedSolverOptions options = fastOptions();
+    options.cancellable = true;
+    GuardedSolver guard(
+        tf, primary,
+        {[&tf] { return std::make_unique<Z3Solver>(tf); }}, options);
+    Term x = tf.var("x", Sort::bitVec(32));
+    Term small = tf.bvUlt(x, tf.bvConst(32, 10));
+
+    EXPECT_EQ(guard.checkSat({small}), SatResult::Sat);
+    guard.cancelCurrentQuery(); // lands while idle
+    EXPECT_EQ(guard.checkSat({small, tf.bvUlt(tf.bvConst(32, 3), x)}),
+              SatResult::Sat);
+    EXPECT_EQ(guard.checkSat({small, tf.bvUlt(tf.bvConst(32, 20), x)}),
+              SatResult::Unsat);
+    EXPECT_EQ(guard.stats().guardedEscalations, 0u);
+    EXPECT_EQ(guard.stats().solverCrashes, 0u);
 }
 
 /**

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "src/smt/evaluator.h"
@@ -53,6 +55,68 @@ TEST(IncrementalZ3Test, PrefixReuseAcrossGrowingQueries)
     EXPECT_EQ(stats.incrementalSolves, 3u);
     // Reused assertions: 1 (query 2) + 2 (query 3) + 2 (query 4).
     EXPECT_EQ(stats.incrementalReused, 5u);
+}
+
+/** An interrupt that lands between queries (a late watchdog re-fire,
+ *  a Cancel for a finished query) must not poison the next one: its
+ *  first push would otherwise throw "push canceled" forever. */
+TEST(IncrementalZ3Test, IdleInterruptDoesNotPoisonLaterQueries)
+{
+    TermFactory tf;
+    IncrementalZ3Solver solver(tf);
+    Term x = var32(tf, "x");
+    Term a = tf.bvUlt(x, tf.bvConst(32, 100));
+    Term b = tf.bvUlt(tf.bvConst(32, 50), x);
+
+    EXPECT_EQ(solver.checkSat({a}), SatResult::Sat);
+    solver.interruptQuery();
+    EXPECT_EQ(solver.checkSat({a, b}), SatResult::Sat)
+        << "the query pushing a new assertion must answer";
+    EXPECT_EQ(solver.checkSat({a, b, tf.bvUlt(x, tf.bvConst(32, 7))}),
+              SatResult::Unsat);
+    EXPECT_EQ(solver.lastFailureKind(), FailureKind::None);
+}
+
+/**
+ * One interrupt landing at a random moment of a query (in push(),
+ * while a term is lowered and asserted, in check()) may turn the answer
+ * into Unknown or a crash, never into a wrong Sat. Z3 drops an
+ * assertion added while an interrupt is pending; unchecked, this Unsat
+ * query would lose its long-to-lower last assertion and answer Sat.
+ */
+TEST(IncrementalZ3Test, AnInterruptMidQueryNeverWeakensIt)
+{
+    Rng rng(0x1a7c4);
+    size_t wrongSat = 0;
+    for (int round = 0; round < 60; ++round) {
+        TermFactory tf;
+        IncrementalZ3Solver solver(tf);
+        // x == 7 and f(x) != f(7) for a deep f: unsatisfiable.
+        Term x = var32(tf, "x");
+        Term fx = x;
+        Term f7 = tf.bvConst(32, 7);
+        for (uint64_t d = 0; d < 300; ++d) {
+            fx = tf.bvAdd(tf.bvMul(fx, tf.bvConst(32, d + 3)),
+                          tf.bvXor(fx, tf.bvConst(32, d)));
+            f7 = tf.bvAdd(tf.bvMul(f7, tf.bvConst(32, d + 3)),
+                          tf.bvXor(f7, tf.bvConst(32, d)));
+        }
+        std::vector<Term> query = {tf.mkEq(x, tf.bvConst(32, 7)),
+                                   tf.mkNot(tf.mkEq(fx, f7))};
+        auto delay = std::chrono::microseconds(rng.below(2000));
+        std::thread interrupter([&] {
+            std::this_thread::sleep_for(delay);
+            solver.interruptQuery();
+        });
+        try {
+            if (solver.checkSat(query) == SatResult::Sat)
+                ++wrongSat;
+        } catch (const SolverCrashError &) {
+            // push() refusing the pending interrupt: not a verdict.
+        }
+        interrupter.join();
+    }
+    EXPECT_EQ(wrongSat, 0u);
 }
 
 TEST(IncrementalZ3Test, DivergentPrefixTriggersColdSolve)

@@ -302,15 +302,13 @@ TEST(WireFrames, TypedFramesRoundTrip)
     EXPECT_EQ(beat_back.querySeq, 7u);
     EXPECT_EQ(beat_back.rssKb, 123456u);
 
-    ResetFrame reset{2500, 256, 1, 0, "int2bv:random_seed=7"};
+    ResetFrame reset{2500, 256, "int2bv:random_seed=7"};
     ASSERT_TRUE(splitFrame(encodeReset(reset).substr(4), type, body));
     EXPECT_EQ(type, FrameType::Reset);
     ResetFrame reset_back;
     ASSERT_TRUE(decodeReset(body, reset_back, error)) << error;
     EXPECT_EQ(reset_back.timeoutMs, 2500u);
     EXPECT_EQ(reset_back.memoryBudgetMb, 256u);
-    EXPECT_EQ(reset_back.useCache, 1);
-    EXPECT_EQ(reset_back.useGuard, 0);
     EXPECT_EQ(reset_back.strategy, "int2bv:random_seed=7");
 
     CancelFrame cancel{77};
@@ -362,11 +360,27 @@ TEST(WireFrames, TypedFramesRoundTrip)
     EXPECT_EQ(type, FrameType::Shutdown);
 }
 
+/** The Reset layout is pinned byte for byte: the two retired flag
+ *  bytes after the budgets are still sent, always as 1. */
+TEST(WireFrames, ResetEncodingIsByteStable)
+{
+    static const char kExpected[] =
+        "\x20\x00\x00\x00"             // payload length 32
+        "\x05"                         // FrameType::Reset
+        "\xc4\x09\x00\x00"             // timeoutMs 2500
+        "\x00\x01\x00\x00"             // memoryBudgetMb 256
+        "\x01\x01"                     // retired flag bytes
+        "\x14" "int2bv:random_seed=7"; // strategy, length 20
+    ResetFrame reset{2500, 256, "int2bv:random_seed=7"};
+    EXPECT_EQ(encodeReset(reset),
+              std::string(kExpected, sizeof kExpected - 1));
+}
+
 TEST(WireFrames, ResetStrategyDefaultsToTheV1Stack)
 {
     // An empty strategy string is the v1-equivalent session: the
     // worker builds the same default incremental stack it always did.
-    ResetFrame reset{1000, 0, 1, 1};
+    ResetFrame reset{1000, 0, {}};
     EXPECT_TRUE(reset.strategy.empty());
 
     FrameType type;

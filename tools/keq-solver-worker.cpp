@@ -48,51 +48,8 @@ namespace {
 
 using namespace keq;
 
-/** Transport fds: stdin stays the inbound pipe; the outbound pipe is
- *  dup'ed away from fd 1 so stray printf()s (Z3 diagnostics, debug
- *  output) land on stderr instead of corrupting the protocol. */
-int gWireIn = 0;
-int gWireOut = -1;
-
 std::mutex gWriteMutex;           // serializes whole frames
 std::atomic<uint64_t> gInFlight{0}; // seq of the running query, 0 = idle
-
-bool
-writeFrame(const std::string &bytes)
-{
-    size_t offset = 0;
-    while (offset < bytes.size()) {
-        ssize_t wrote = ::write(gWireOut, bytes.data() + offset,
-                                bytes.size() - offset);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        offset += static_cast<size_t>(wrote);
-    }
-    return true;
-}
-
-bool
-readExact(std::string &out, size_t bytes)
-{
-    char buffer[4096];
-    while (bytes > 0) {
-        size_t chunk = bytes < sizeof buffer ? bytes : sizeof buffer;
-        ssize_t got = ::read(gWireIn, buffer, chunk);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (got == 0)
-            return false; // parent closed the pipe
-        out.append(buffer, static_cast<size_t>(got));
-        bytes -= static_cast<size_t>(got);
-    }
-    return true;
-}
 
 /** Resident set in KB from /proc/self/statm (0 when unreadable). */
 uint64_t
@@ -176,7 +133,8 @@ makeSession(const smt::wire::ResetFrame &config,
  *  (the shared write mutex + in-flight re-check guarantee no frame is
  *  ever sequenced after its own Result). */
 void
-heartbeatLoop(unsigned intervalMs, const std::atomic<bool> *stop)
+heartbeatLoop(support::FramedChannel *wire, unsigned intervalMs,
+              const std::atomic<bool> *stop)
 {
     while (!stop->load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(
@@ -188,7 +146,7 @@ heartbeatLoop(unsigned intervalMs, const std::atomic<bool> *stop)
         smt::wire::HeartbeatFrame beat;
         beat.querySeq = seq;
         beat.rssKb = residentKb();
-        writeFrame(smt::wire::encodeHeartbeat(beat));
+        wire->sendFrame(smt::wire::encodeHeartbeat(beat));
     }
 }
 
@@ -198,27 +156,35 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
     applyRlimits(memoryMb, cpuSeconds);
     // The supervisor owns this process's lifetime; a SIGINT aimed at
     // the operator's keqc run must not race the supervisor's own
-    // teardown. SIGPIPE becomes an EPIPE write error.
+    // teardown.
     std::signal(SIGINT, SIG_IGN);
-    std::signal(SIGPIPE, SIG_IGN);
 
-    // Re-point the protocol away from fd 1 (see gWireOut above).
-    gWireOut = ::dup(STDOUT_FILENO);
-    if (gWireOut < 0)
+    // The transport: frames arrive on stdin; the outbound pipe is
+    // dup'ed away from fd 1 so stray printf()s (Z3 diagnostics, debug
+    // output) land on stderr instead of corrupting the protocol. The
+    // pipe channel also turns SIGPIPE into an EPIPE write error.
+    int wireOut = ::dup(STDOUT_FILENO);
+    if (wireOut < 0)
         return 3;
     ::dup2(STDERR_FILENO, STDOUT_FILENO);
+    support::FramedChannel wire(STDIN_FILENO, wireOut);
+    // Sends come from three threads (handshake/errors here, heartbeat,
+    // solve); gWriteMutex keeps each frame whole.
+    auto send = [&wire](const std::string &frame) {
+        std::unique_lock<std::mutex> lock(gWriteMutex);
+        return wire.sendFrame(frame);
+    };
 
     {
         smt::wire::ReadyFrame ready;
         ready.protocolVersion = smt::wire::kProtocolVersion;
         ready.pid = static_cast<uint64_t>(::getpid());
-        std::unique_lock<std::mutex> lock(gWriteMutex);
-        if (!writeFrame(smt::wire::encodeReady(ready)))
+        if (!send(smt::wire::encodeReady(ready)))
             return 3;
     }
 
     std::atomic<bool> stopHeartbeat{false};
-    std::thread heartbeat(heartbeatLoop,
+    std::thread heartbeat(heartbeatLoop, &wire,
                           heartbeatMs == 0 ? 250 : heartbeatMs,
                           &stopHeartbeat);
 
@@ -242,30 +208,20 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
 
     int exitCode = 0;
     for (;;) {
-        std::string header;
-        if (!readExact(header, 4)) {
-            exitCode = 0; // parent closed: normal teardown
+        std::string payload;
+        support::IoStatus status = wire.recvFrame(payload, 0);
+        if (status != support::IoStatus::Ok) {
+            // Eof: the parent closed the pipe, a normal teardown.
+            // Error: a corrupt length prefix or a broken pipe.
+            exitCode = status == support::IoStatus::Eof ? 0 : 3;
             if (session != nullptr && solve.joinable())
                 session->guard().cancelCurrentQuery();
-            break;
-        }
-        smt::wire::Decoder headerDec(header);
-        uint32_t length = 0;
-        headerDec.u32(length);
-        if (length == 0 || length > smt::wire::kMaxFramePayload) {
-            exitCode = 3;
-            break;
-        }
-        std::string payload;
-        if (!readExact(payload, length)) {
-            exitCode = 3;
             break;
         }
         smt::wire::FrameType type;
         std::string body;
         if (!smt::wire::splitFrame(payload, type, body)) {
-            std::unique_lock<std::mutex> lock(gWriteMutex);
-            writeFrame(smt::wire::encodeError("unknown frame type"));
+            send(smt::wire::encodeError("unknown frame type"));
             continue;
         }
 
@@ -278,8 +234,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             smt::wire::CancelFrame cancel;
             std::string error;
             if (!smt::wire::decodeCancel(body, cancel, error)) {
-                std::unique_lock<std::mutex> lock(gWriteMutex);
-                writeFrame(smt::wire::encodeError(
+                send(smt::wire::encodeError(
                     "corrupt cancel frame: " + error));
                 continue;
             }
@@ -298,8 +253,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             smt::wire::ResetFrame config;
             std::string error;
             if (!smt::wire::decodeReset(body, config, error)) {
-                std::unique_lock<std::mutex> lock(gWriteMutex);
-                writeFrame(smt::wire::encodeError(
+                send(smt::wire::encodeError(
                     "corrupt reset frame: " + error));
                 continue;
             }
@@ -310,8 +264,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
                                               : config.strategy,
                                           lanes, error) ||
                 lanes.size() != 1) {
-                std::unique_lock<std::mutex> lock(gWriteMutex);
-                writeFrame(smt::wire::encodeError(
+                send(smt::wire::encodeError(
                     "bad reset strategy: " +
                     (error.empty() ? "expected one lane" : error)));
                 continue;
@@ -321,15 +274,11 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
             continue;
         }
         if (type != smt::wire::FrameType::Query) {
-            std::unique_lock<std::mutex> lock(gWriteMutex);
-            writeFrame(
-                smt::wire::encodeError("unexpected frame from parent"));
+            send(smt::wire::encodeError("unexpected frame from parent"));
             continue;
         }
         if (session == nullptr) {
-            std::unique_lock<std::mutex> lock(gWriteMutex);
-            writeFrame(
-                smt::wire::encodeError("query before first reset"));
+            send(smt::wire::encodeError("query before first reset"));
             continue;
         }
 
@@ -339,9 +288,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
         std::string error;
         if (!smt::wire::decodeQuery(body, *session->factory,
                                     &session->varSorts, query, error)) {
-            std::unique_lock<std::mutex> lock(gWriteMutex);
-            writeFrame(
-                smt::wire::encodeError("corrupt query: " + error));
+            send(smt::wire::encodeError("corrupt query: " + error));
             continue;
         }
 
@@ -354,7 +301,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
         // concurrently.
         Session *live = session.get();
         gInFlight.store(query.seq, std::memory_order_relaxed);
-        solve = std::thread([live, query = std::move(query)] {
+        solve = std::thread([live, &wire, query = std::move(query)] {
             smt::wire::ResultFrame result;
             result.seq = query.seq;
             smt::SolverStats before = live->guard().stats();
@@ -379,7 +326,7 @@ workerMain(unsigned memoryMb, unsigned cpuSeconds, unsigned heartbeatMs)
 
             std::unique_lock<std::mutex> lock(gWriteMutex);
             gInFlight.store(0, std::memory_order_relaxed);
-            if (!writeFrame(smt::wire::encodeResult(result))) {
+            if (!wire.sendFrame(smt::wire::encodeResult(result))) {
                 // Parent vanished mid-reply; nothing left to serve.
                 std::_Exit(3);
             }
