@@ -1,8 +1,6 @@
 #include "src/smt/caching_solver.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <unordered_set>
 
@@ -475,11 +473,6 @@ CachingSolver::tryModelReuse(const std::vector<Term> &assertions,
             return SatResult::Sat;
         }
     }
-    if (std::getenv("KEQ_CACHE_DEBUG") != nullptr) {
-        std::fprintf(stderr, "NOREUSE sup=%d nv=%zu h=%zx\n",
-                     scan.supported ? 1 : 0, scan.vars.size(),
-                     std::hash<std::string>{}(key));
-    }
     return std::nullopt;
 }
 
@@ -707,16 +700,6 @@ CachingSolver::checkSat(const std::vector<Term> &assertions)
     stats_.crossLaneDisagreements +=
         backend_delta.crossLaneDisagreements;
     stats_.totalSeconds += watch.seconds();
-    if (std::getenv("KEQ_CACHE_DEBUG") != nullptr) {
-        std::fprintf(stderr, "MISS %8.2f ms  %s  h=%zx  n=%zu  a=%zu\n",
-                     watch.seconds() * 1e3,
-                     result == SatResult::Sat
-                         ? "sat  "
-                         : (result == SatResult::Unsat ? "unsat"
-                                                       : "unk  "),
-                     std::hash<std::string>{}(key), key.size(),
-                     working.size());
-    }
     if (result == SatResult::Sat) {
         Assignment model;
         if (backend_.lastModel(&model)) {

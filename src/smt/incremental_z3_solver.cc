@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -94,6 +92,8 @@ struct IncrementalZ3Solver::Impl
     unsigned appliedMemoryMb = 0;
     bool limitsApplied = false;
 
+    void interrupt() { latch.interrupt(); }
+
     void
     applyLimits(z3::solver &target, unsigned timeout_ms,
                 unsigned memory_mb)
@@ -122,8 +122,7 @@ struct IncrementalZ3Solver::Impl
 
 IncrementalZ3Solver::IncrementalZ3Solver(TermFactory &factory,
                                          BackendTuning tuning)
-    : factory_(factory), impl_(std::make_unique<Impl>()),
-      tuning_(std::move(tuning))
+    : factory_(factory), tuning_(std::move(tuning))
 {}
 
 IncrementalZ3Solver::~IncrementalZ3Solver() = default;
@@ -152,7 +151,7 @@ IncrementalZ3Solver::setMemoryBudgetMb(unsigned budget_mb)
 void
 IncrementalZ3Solver::interruptQuery()
 {
-    impl_->latch.interrupt();
+    impl_.interrupt();
 }
 
 SatResult
@@ -161,7 +160,7 @@ IncrementalZ3Solver::checkSat(const std::vector<Term> &assertions)
     support::Stopwatch watch;
     lastUnknownReason_.clear();
     lastFailure_ = FailureKind::None;
-    Impl &impl = *impl_;
+    Impl &impl = impl_.get();
     if (!impl.limitsApplied || impl.appliedTimeoutMs != timeoutMs_ ||
         impl.appliedMemoryMb != memoryBudgetMb_) {
         impl.applyLimits(impl.solver, timeoutMs_, memoryBudgetMb_);
@@ -208,13 +207,7 @@ IncrementalZ3Solver::checkSat(const std::vector<Term> &assertions)
             impl.reset();
             lastUnknownReason_ = "canceled";
         } else {
-            support::Stopwatch check_watch;
             z3_result = impl.solver.check();
-            if (std::getenv("KEQ_INC_DEBUG") != nullptr)
-                std::fprintf(stderr, "inc n=%zu prefix=%zu t=%.4f\n",
-                             assertions.size(), prefix,
-                             check_watch.seconds());
-
             stats_.incrementalReused += prefix;
             if (prefix > 0)
                 ++stats_.incrementalSolves;

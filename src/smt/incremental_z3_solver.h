@@ -10,7 +10,8 @@
  * that share long assertion prefixes: the cut-point hypothesis terms
  * accumulate in order, and successive proof obligations differ only in
  * the negated conclusion at the tail. IncrementalZ3Solver keeps one
- * z3::solver alive per worker and mirrors the assertion list onto a
+ * z3::solver alive for its own lifetime (one function validation in
+ * the pipeline) and mirrors the assertion list onto a
  * push/pop scope stack — one scope per directly-asserted assertion
  * (plain scoped asserts keep Z3's full preprocessing enabled, unlike an
  * assumption-literal encoding). A new query pops back to the longest
@@ -24,11 +25,11 @@
  * this on interleaved query sequences.
  */
 
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/smt/evaluator.h"
+#include "src/smt/lazy_z3_state.h"
 #include "src/smt/solver.h"
 #include "src/smt/term_factory.h"
 
@@ -58,7 +59,8 @@ class IncrementalZ3Solver : public Solver
      * that wants the whole call abandoned must keep re-interrupting
      * until checkSat returns (GuardedSolver's does). An interrupt that
      * lands while no query runs is cleared by the next checkSat, which
-     * then answers normally.
+     * then answers normally; one that lands before the first checkSat
+     * has built the context is dropped (see lazy_z3_state.h).
      */
     void interruptQuery() override;
 
@@ -84,7 +86,7 @@ class IncrementalZ3Solver : public Solver
   private:
     struct Impl; // hides <z3++.h> from clients
     TermFactory &factory_;
-    std::unique_ptr<Impl> impl_;
+    LazyZ3State<Impl> impl_; ///< built by the first checkSat
     BackendTuning tuning_;
     SolverStats stats_;
     unsigned timeoutMs_ = 0;

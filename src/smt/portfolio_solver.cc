@@ -194,10 +194,6 @@ PortfolioSolver::PortfolioSolver(TermFactory &factory,
         lane->backend = makeLaneBackend(factory_, lane->config);
         state_->lanes.push_back(std::move(lane));
     }
-    for (size_t i = 0; i < state_->lanes.size(); ++i) {
-        state_->lanes[i]->thread =
-            std::thread([this, i] { laneMain(i); });
-    }
 }
 
 PortfolioSolver::~PortfolioSolver()
@@ -331,6 +327,14 @@ PortfolioSolver::checkSat(const std::vector<Term> &assertions)
     lastUnknownReason_.clear();
     lastFailure_ = FailureKind::None;
     lastModel_.reset();
+
+    // Lane threads start with the first race: a stack whose queries
+    // are all answered above the portfolio never needs them.
+    for (size_t i = 0; i < lane_count; ++i) {
+        if (!state.lanes[i]->thread.joinable())
+            state.lanes[i]->thread =
+                std::thread([this, i] { laneMain(i); });
+    }
 
     // Lane backends are quiescent between races, so their stats are
     // safe to snapshot here.

@@ -9,12 +9,12 @@
  * QF_AUFBV engine, an int2bv-translating configuration, and a cold
  * fresh-solver lane have close to uncorrelated worst cases. The
  * PortfolioSolver fans each checkSat out to N persistent lane threads —
- * each owning its own backend (own z3::context) built from a LaneConfig
- * — takes the first *definite* Sat/Unsat answer, and reaps the losers
- * through the same re-firing interruptQuery() lever the GuardedSolver
- * watchdog uses (an incremental lane's Unknown guardrail re-enters Z3,
- * so one interrupt is not enough; we keep firing until the lane
- * returns).
+ * started by the first checkSat, each owning its own backend (own
+ * z3::context) built from a LaneConfig — takes the first *definite*
+ * Sat/Unsat answer, and reaps the losers through the same re-firing
+ * interruptQuery() lever the GuardedSolver watchdog uses (an
+ * incremental lane's Unknown guardrail re-enters Z3, so one interrupt
+ * is not enough; we keep firing until the lane returns).
  *
  * Verdict-counter contract: one checkSat is ONE logical query no matter
  * how many lanes raced it. Lane work is folded through
@@ -95,9 +95,10 @@ class PortfolioSolver : public Solver
 {
   public:
     /**
-     * @p lanes must hold 1..SolverStats::kPortfolioMaxLanes configs;
-     * each lane's backend and thread are created eagerly and live for
-     * the solver's lifetime (warm lanes across queries).
+     * @p lanes must hold 1..SolverStats::kPortfolioMaxLanes configs.
+     * Each lane's backend is created here and its thread on the first
+     * checkSat; both live for the solver's lifetime (warm lanes across
+     * queries). A backend builds its Z3 context on its first query.
      */
     PortfolioSolver(TermFactory &factory, std::vector<LaneConfig> lanes);
     ~PortfolioSolver() override;

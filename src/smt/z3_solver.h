@@ -10,11 +10,11 @@
  * and keeping query times directly comparable per call.
  */
 
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/smt/evaluator.h"
+#include "src/smt/lazy_z3_state.h"
 #include "src/smt/solver.h"
 #include "src/smt/term_factory.h"
 
@@ -38,7 +38,8 @@ class Z3Solver : public Solver
     /**
      * Fires Z3_interrupt on the owning context; safe from another
      * thread (the watchdog). The in-flight check returns Unknown with
-     * reason "canceled".
+     * reason "canceled". A no-op before the first checkSat builds the
+     * context (see lazy_z3_state.h).
      */
     void interruptQuery() override;
 
@@ -69,7 +70,7 @@ class Z3Solver : public Solver
   private:
     struct Impl; // hides <z3++.h> from clients
     TermFactory &factory_;
-    std::unique_ptr<Impl> impl_;
+    LazyZ3State<Impl> impl_; ///< built by the first checkSat
     BackendTuning tuning_;
     SolverStats stats_;
     unsigned timeoutMs_ = 0;

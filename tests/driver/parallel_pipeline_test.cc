@@ -14,6 +14,7 @@
 #include "src/llvmir/parser.h"
 #include "src/llvmir/verifier.h"
 #include "src/smt/caching_solver.h"
+#include "src/smt/lazy_z3_state.h"
 #include "src/smt/term_factory.h"
 #include "src/smt/z3_solver.h"
 
@@ -123,6 +124,24 @@ TEST(ParallelPipelineTest, CachePersistsAcrossRunsOfOnePipeline)
               first.solverStats.rewriteResolved);
     EXPECT_EQ(second.solverStats.sliceResolved,
               first.solverStats.sliceResolved);
+}
+
+/** Z3 contexts are built by the first query that reaches a backend:
+ *  a cold run needs them, a rerun answered by the shared cache none. */
+TEST(ParallelPipelineTest, ACacheAnsweredRerunBuildsNoZ3Context)
+{
+    llvmir::Module module = corpusModule(6);
+    Pipeline pipeline;
+    uint64_t before = smt::z3ContextsCreated();
+    ModuleReport cold = pipeline.run(module);
+    uint64_t after_cold = smt::z3ContextsCreated();
+    EXPECT_GE(after_cold, before + 1);
+    ASSERT_GT(cold.solverStats.cacheMisses, 0u);
+
+    ModuleReport warm = pipeline.run(module);
+    EXPECT_EQ(warm.solverStats.cacheMisses, 0u);
+    EXPECT_EQ(smt::z3ContextsCreated(), after_cold);
+    EXPECT_EQ(cold.canonicalSummary(), warm.canonicalSummary());
 }
 
 /**

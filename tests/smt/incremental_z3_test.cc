@@ -103,6 +103,12 @@ TEST(IncrementalZ3Test, AnInterruptMidQueryNeverWeakensIt)
         }
         std::vector<Term> query = {tf.mkEq(x, tf.bvConst(32, 7)),
                                    tf.mkNot(tf.mkEq(fx, f7))};
+        // Build the context first: an interrupt that lands while the
+        // first query creates it is dropped, and this test is about the
+        // ones that land in the pushes of a live solver.
+        ASSERT_EQ(solver.checkSat({tf.bvUlt(var32(tf, "w"),
+                                            tf.bvConst(32, 9))}),
+                  SatResult::Sat);
         auto delay = std::chrono::microseconds(rng.below(2000));
         std::thread interrupter([&] {
             std::this_thread::sleep_for(delay);

@@ -1,6 +1,7 @@
-/** @file buildSolverStack: the derived escalation ladder with and
- *  without a fault plan, sandbox specs leaving containment to the
- *  worker, and the worker's spec keeping mid-query cancellation. */
+/** @file buildSolverStack: no Z3 context before a query reaches the
+ *  backend, the derived escalation ladder with and without a fault
+ *  plan, sandbox specs leaving containment to the worker, and the
+ *  worker's spec keeping mid-query cancellation. */
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <chrono>
 #include <thread>
 
+#include "src/smt/lazy_z3_state.h"
 #include "src/smt/sandbox.h"
 #include "src/smt/solver_stack.h"
 #include "src/smt/term_factory.h"
@@ -15,7 +17,7 @@
 namespace keq::smt {
 namespace {
 
-/** x * 3 == 7 over 8 bits: Sat (x = 0xcd), but not by folding. */
+/** x * 3 == 7 over 8 bits: Sat (x = 0xad), but not by folding. */
 std::vector<Term>
 oddProductQuery(TermFactory &f)
 {
@@ -62,6 +64,53 @@ TEST(SolverStack, DefaultSpecIsABareColdSolver)
     EXPECT_EQ(stack.guard, nullptr);
     EXPECT_EQ(stack.top->checkSat(oddProductQuery(f)), SatResult::Sat);
     EXPECT_EQ(stack.top->stats().queries, 1u);
+}
+
+/**
+ * Z3 contexts are built by the first query that reaches a backend, so
+ * a stack whose queries are all answered above its backend costs none.
+ * Every stack shape builds 0 contexts, however it is configured or
+ * interrupted, until a query gets through.
+ */
+TEST(SolverStack, NoShapeBuildsAZ3ContextBeforeAQueryReachesIt)
+{
+    std::vector<std::pair<std::string, SolverStackSpec>> shapes;
+    shapes.emplace_back("plain", SolverStackSpec{});
+    SolverStackSpec incremental;
+    incremental.incremental = true;
+    shapes.emplace_back("incremental", incremental);
+    SolverStackSpec one_lane;
+    one_lane.lanes = defaultPortfolioLanes(1);
+    shapes.emplace_back("one lane", one_lane);
+    SolverStackSpec portfolio;
+    portfolio.lanes = defaultPortfolioLanes(3);
+    shapes.emplace_back("3-lane portfolio", portfolio);
+    SolverStackSpec guarded;
+    guarded.faults.seed = 7;
+    guarded.faults.unknownPercent = 100;
+    guarded.guard = GuardedSolverOptions{};
+    shapes.emplace_back("guard with rungs", guarded);
+    SolverStackSpec audited;
+    audited.cache = std::make_shared<QueryCache>();
+    audited.caching.auditRate = 0.5;
+    shapes.emplace_back("audited cache", audited);
+
+    for (const auto &[name, spec] : shapes) {
+        TermFactory f;
+        // x * 3 == 7 forces x = 0xad; excluding it leaves no model for
+        // the cache's probes to find, so the query reaches Z3.
+        std::vector<Term> query = oddProductQuery(f);
+        query.push_back(f.mkNot(f.mkEq(f.var("x", Sort::bitVec(8)),
+                                       f.bvConst(8, 0xad))));
+        uint64_t before = z3ContextsCreated();
+        SolverStack stack = buildSolverStack(f, spec);
+        stack.top->setTimeoutMs(10000);
+        stack.top->enableModelCapture(true);
+        stack.top->interruptQuery();
+        EXPECT_EQ(z3ContextsCreated(), before) << name;
+        EXPECT_EQ(stack.top->checkSat(query), SatResult::Unsat) << name;
+        EXPECT_GE(z3ContextsCreated(), before + 1) << name;
+    }
 }
 
 TEST(SolverStack, WithoutPlanUnknownResolvesAfterOneEscalation)
