@@ -1,8 +1,8 @@
 /**
  * @file
- * Experiment E14 — solver portfolio racing + batched discharge.
+ * Experiment E14 — solver portfolio racing.
  *
- * Part 1 (query-level racing): a deterministic family of hard
+ * Query-level racing: a deterministic family of hard
  * bitvector queries, each solved three times — by the single default
  * lane, by a 2-lane portfolio, and by a 3-lane portfolio. The harness
  * *asserts* verdict identity across all configurations (racing must
@@ -23,11 +23,6 @@
  * mixed with instances where the default lane is already the best so
  * the race's serialization cost is visible too, not hidden.
  *
- * Part 2 (batched discharge): every checked-in conformance corpus
- * file through the full pipeline with batched discharge off and on,
- * verdict identity asserted per file, wall-clock and batch counters
- * reported.
- *
  * Results land in BENCH_portfolio.json.
  */
 
@@ -40,10 +35,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/conformance/corpus.h"
-#include "src/driver/pipeline.h"
-#include "src/llvmir/parser.h"
-#include "src/llvmir/verifier.h"
 #include "src/smt/portfolio_solver.h"
 #include "src/smt/term_factory.h"
 #include "src/support/stopwatch.h"
@@ -237,7 +228,7 @@ runConfiguration(const std::string &label,
     return run;
 }
 
-/** Part 1: the query-level race. Returns false on any verdict split. */
+/** The query-level race. Returns false on any verdict split. */
 bool
 runQueryRace(bench::JsonReporter &json)
 {
@@ -255,7 +246,7 @@ runQueryRace(bench::JsonReporter &json)
     smt::TermFactory tf;
     std::vector<BenchQuery> queries = hardQueryFamily(tf);
 
-    std::cout << "=== E14 part 1: portfolio racing, " << queries.size()
+    std::cout << "=== E14: portfolio racing, " << queries.size()
               << " queries ===\n\n";
 
     LaneRun single = runConfiguration(
@@ -364,65 +355,6 @@ runQueryRace(bench::JsonReporter &json)
     return verdicts_identical;
 }
 
-/** Part 2: batched discharge over the conformance corpus. */
-bool
-runBatchedDischarge(bench::JsonReporter &json)
-{
-    std::vector<conformance::CorpusCase> cases =
-        conformance::loadCorpusDir(KEQ_CORPUS_DIR);
-
-    std::cout << "=== E14 part 2: batched discharge, " << cases.size()
-              << " corpus files ===\n\n";
-
-    bool verdicts_identical = true;
-    double plain_seconds = 0, batched_seconds = 0;
-    uint64_t batched_queries = 0;
-    for (const conformance::CorpusCase &corpus_case : cases) {
-        llvmir::Module module =
-            llvmir::parseModule(corpus_case.source);
-        llvmir::verifyModuleOrThrow(module);
-
-        driver::PipelineOptions plain_options;
-        plain_options.isel = corpus_case.isel;
-        support::Stopwatch watch;
-        driver::ModuleReport plain =
-            driver::Pipeline(plain_options, {}).run(module);
-        plain_seconds += watch.seconds();
-
-        driver::PipelineOptions batched_options = plain_options;
-        batched_options.checker.batchDischarge = true;
-        watch.reset();
-        driver::ModuleReport batched =
-            driver::Pipeline(batched_options, {}).run(module);
-        batched_seconds += watch.seconds();
-
-        if (plain.canonicalSummary() != batched.canonicalSummary()) {
-            std::fprintf(stderr,
-                         "FAIL: batched discharge changed verdicts "
-                         "for %s\n",
-                         corpus_case.name.c_str());
-            verdicts_identical = false;
-        }
-        batched_queries += batched.solverStats.batchedQueries;
-    }
-
-    std::printf("unbatched: %.2fs, batched: %.2fs (%.2fx), "
-                "%llu obligations discharged through warm sessions\n",
-                plain_seconds, batched_seconds,
-                plain_seconds / std::max(1e-9, batched_seconds),
-                (unsigned long long)batched_queries);
-    std::printf("verdicts: %s\n\n",
-                verdicts_identical ? "identical across both modes"
-                                   : "SPLIT (hard failure)");
-
-    json.field("corpus_files", uint64_t{cases.size()});
-    json.field("unbatched_seconds", plain_seconds);
-    json.field("batched_seconds", batched_seconds);
-    json.field("batched_queries", batched_queries);
-    json.field("batched_verdicts_identical", verdicts_identical);
-    return verdicts_identical;
-}
-
 } // namespace
 
 int
@@ -432,7 +364,6 @@ main()
     json.field("bench", std::string("portfolio"));
 
     bool ok = runQueryRace(json);
-    ok = runBatchedDischarge(json) && ok;
 
     json.writeFile("BENCH_portfolio.json");
     return ok ? 0 : 1;

@@ -222,17 +222,11 @@ runStackComparison()
     json.field("wall_speedup",
                baseline_seconds / std::max(1e-9, optimized_seconds));
     json.field("geomean_speedup", geomean);
-    json.field("queries", stats.queries);
-    json.field("rewrite_resolved", stats.rewriteResolved);
-    json.field("rewrite_applications", stats.rewriteApplications);
-    json.field("slice_resolved", stats.sliceResolved);
-    json.field("sliced_assertions", stats.slicedAssertions);
-    json.field("cache_hits", stats.cacheHits);
-    json.field("cache_misses", stats.cacheMisses);
-    json.field("incremental_reused", stats.incrementalReused);
-    json.field("incremental_solves", stats.incrementalSolves);
-    json.field("cold_solves", stats.coldSolves);
-    json.field("incremental_fallbacks", stats.incrementalFallbacks);
+    smt::forEachStatsField(
+        [&](smt::StatsField field, const auto &value) {
+            json.field(smt::statsKey(field), value);
+        },
+        stats);
     json.field("verdicts_identical", true);
     json.writeFile("BENCH_smt.json");
     return true;

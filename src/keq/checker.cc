@@ -146,9 +146,6 @@ class Run
         stats_.solverQueries = after.queries - before.queries;
         stats_.solverSeconds = after.totalSeconds - before.totalSeconds;
         stats_.solverStats = after - before;
-        // Batching is a checker-level decision; no solver layer can see
-        // which queries were batched, so the counter is attributed here.
-        stats_.solverStats.batchedQueries += batchedDischarges_;
         stats_.totalSeconds = watch_.seconds();
         verdict.stats = stats_;
         return verdict;
@@ -269,28 +266,6 @@ class Run
         return attemptProof([&] {
             return solver_.proveImplication(hypothesis, conclusion);
         });
-    }
-
-    /**
-     * Discharges one obligation, batched when configured: the
-     * hypothesis travels as separate assertions (@p parts) so that the
-     * next obligation of this pair — same parts, different conclusion —
-     * reuses the backend's warm prefix instead of re-asserting the
-     * path conditions from scratch.
-     */
-    bool
-    dischargeObligation(Term hypothesis,
-                        const std::vector<Term> &parts, Term conclusion)
-    {
-        checkBudgets();
-        if (!config_.batchDischarge)
-            return proveImplication(hypothesis, conclusion);
-        uint64_t before = solver_.stats().queries;
-        bool proven = attemptProof(
-            [&] { return solver_.proveImplication(parts, conclusion); });
-        if (solver_.stats().queries != before)
-            ++batchedDischarges_;
-        return proven;
     }
 
     /**
@@ -729,12 +704,6 @@ class Run
         } else {
             hypothesis = joint;
         }
-        // Unmerged hypothesis for batched discharge: every candidate
-        // point below shares these parts, so an incremental backend
-        // keeps them asserted across the whole loop.
-        std::vector<Term> hypothesisParts =
-            equivalent ? std::vector<Term>{a.pathCond}
-                       : std::vector<Term>{a.pathCond, b.pathCond};
 
         for (const SyncPoint *q : candidates) {
             Term required = obligations(*q, a, b);
@@ -756,8 +725,7 @@ class Run
                 // extra here.
             }
             uint64_t queries_before = solver_.stats().queries;
-            if (dischargeObligation(hypothesis, hypothesisParts,
-                                    required)) {
+            if (proveImplication(hypothesis, required)) {
                 recordStep(source, q, a, b,
                            solver_.stats().queries == queries_before
                                ? ProofStep::Method::Folded
@@ -831,7 +799,6 @@ class Run
     CheckStats stats_;
     support::Stopwatch watch_;
     bool refinementFallback_ = false;
-    uint64_t batchedDischarges_ = 0;
     std::vector<ProofStep> proof_;
 };
 

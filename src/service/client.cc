@@ -221,10 +221,6 @@ DaemonClient::recvSupervised(std::string &payload, unsigned deadlineMs)
     auto start = std::chrono::steady_clock::now();
     bool pingOutstanding = false;
     auto pingSentAt = start;
-    // Heartbeats are a v5 frame pair; never probe an older daemon
-    // (it would answer Ping with a fatal "unexpected frame" error).
-    bool canPing = options_.heartbeatIntervalMs > 0 &&
-                   serverHello_.protocolVersion >= 5;
     for (;;) {
         // A tick that ends mid-frame keeps the partial frame; the next
         // recvFrame resumes it, so short ticks never tear a frame.
@@ -235,7 +231,7 @@ DaemonClient::recvSupervised(std::string &payload, unsigned deadlineMs)
         unsigned idleMs = elapsedMs(start, now);
         if (idleMs >= deadlineMs)
             return IoStatus::Timeout;
-        if (!canPing)
+        if (options_.heartbeatIntervalMs == 0)
             continue;
         if (pingOutstanding) {
             if (elapsedMs(pingSentAt, now) >=
@@ -285,10 +281,6 @@ DaemonClient::validateFunctions(
     // — a first submission carries 0, so identical jobs from distinct
     // clients still each exercise the daemon's real (cache-warm)
     // solving path rather than replaying each other's ledger entries.
-    // A v4 daemon never sees the field at all (encodeSubmitJob drops
-    // it for v4 layouts).
-    uint32_t wireVersion = std::min(serverHello_.protocolVersion,
-                                    wire::kProtocolVersion);
     std::vector<uint64_t> fingerprints(n);
     for (size_t i = 0; i < n; ++i)
         fingerprints[i] =
@@ -311,8 +303,7 @@ DaemonClient::validateFunctions(
         job.fingerprint = everSubmitted[idx] ? fingerprints[idx] : 0;
         everSubmitted[idx] = 1;
         submitted[idx] = std::chrono::steady_clock::now();
-        if (!channel_.sendFrame(wire::encodeSubmitJob(job,
-                                                      wireVersion))) {
+        if (!channel_.sendFrame(wire::encodeSubmitJob(job))) {
             error = "daemon connection lost while submitting " +
                     functions[idx];
             failure_ = FailureKind::WorkerKilled;
@@ -360,8 +351,6 @@ DaemonClient::validateFunctions(
         }
         ++failovers_;
         resubmits_ += outstanding;
-        wireVersion = std::min(serverHello_.protocolVersion,
-                               wire::kProtocolVersion);
         toSubmit.clear();
         for (size_t i = 0; i < n; ++i)
             if (!decided[i])

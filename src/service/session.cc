@@ -99,21 +99,15 @@ Session::handshake()
         sendLocked(wire::encodeHelloReject(reject));
         return false;
     }
-    if (hello.protocolVersion < wire::kMinServiceProtocolVersion ||
-        hello.protocolVersion > wire::kProtocolVersion) {
-        reject.message =
-            "unsupported protocol version " +
-            std::to_string(hello.protocolVersion) + " (daemon speaks " +
-            std::to_string(wire::kMinServiceProtocolVersion) + ".." +
-            std::to_string(wire::kProtocolVersion) + ")";
+    if (hello.protocolVersion != wire::kProtocolVersion) {
+        reject.message = "unsupported protocol version " +
+                         std::to_string(hello.protocolVersion) +
+                         " (daemon speaks " +
+                         std::to_string(wire::kProtocolVersion) + ")";
         sendLocked(wire::encodeHelloReject(reject));
         return false;
     }
-    // Negotiate down to the client's version: every frame this session
-    // sends from here on uses the client's layout.
-    protocolVersion_ = hello.protocolVersion;
     wire::ServerHelloFrame ack;
-    ack.protocolVersion = protocolVersion_;
     ack.pid = static_cast<uint64_t>(::getpid());
     return sendLocked(wire::encodeServerHello(ack));
 }
@@ -155,7 +149,7 @@ Session::handleSubmit(const std::string &body)
         sendLocked(wire::encodeError("bad SubmitJob: " + error));
         return;
     }
-    // Idempotent resubmission (wire v5): a fingerprinted job the
+    // Idempotent resubmission: a fingerprinted job the
     // daemon already completed — typically resubmitted by a failover
     // client whose previous connection died before the verdict arrived
     // — is answered straight from the completed ledger. This runs
@@ -216,8 +210,7 @@ Session::handleSubmit(const std::string &body)
 void
 Session::handleStatus()
 {
-    sendLocked(wire::encodeJobStatus(server_.statusFrame(),
-                                     protocolVersion_));
+    sendLocked(wire::encodeJobStatus(server_.statusFrame()));
 }
 
 void

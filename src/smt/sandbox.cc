@@ -736,10 +736,12 @@ WorkerSupervisor::chaosLoop()
 
 SandboxSolver::SandboxSolver(TermFactory &factory,
                              WorkerSupervisor &supervisor,
-                             std::vector<std::string> laneStrategies)
+                             std::vector<std::string> laneStrategies,
+                             unsigned deadlineMs)
     : factory_(factory), supervisor_(supervisor),
       sessionId_(supervisor.newSessionId()),
-      laneStrategies_(std::move(laneStrategies))
+      laneStrategies_(std::move(laneStrategies)), deadlineMs_(deadlineMs),
+      timeoutMs_(deadlineMs)
 {}
 
 SatResult
@@ -771,7 +773,10 @@ SandboxSolver::checkSat(const std::vector<Term> &assertions)
 void
 SandboxSolver::setTimeoutMs(unsigned timeout_ms)
 {
+    // 0 means "no limit" on both sides; otherwise the tighter wins.
     timeoutMs_ = timeout_ms;
+    if (deadlineMs_ != 0 && (timeout_ms == 0 || deadlineMs_ < timeout_ms))
+        timeoutMs_ = deadlineMs_;
 }
 
 void

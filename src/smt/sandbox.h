@@ -275,12 +275,17 @@ class WorkerSupervisor
  * across a worker group (WorkerSupervisor::solve); with exactly one it
  * pins the session to that lane's backend; with none it is
  * byte-identical to the pre-portfolio sandbox.
+ *
+ * @p deadlineMs (0 = none) caps every query's timeout: the worker runs
+ * its own guard, so the caller's watchdog deadline can only reach the
+ * query through the timeout the Query frame carries.
  */
 class SandboxSolver : public Solver
 {
   public:
     SandboxSolver(TermFactory &factory, WorkerSupervisor &supervisor,
-                  std::vector<std::string> laneStrategies = {});
+                  std::vector<std::string> laneStrategies = {},
+                  unsigned deadlineMs = 0);
 
     size_t laneCount() const
     {
@@ -303,7 +308,8 @@ class SandboxSolver : public Solver
     WorkerSupervisor &supervisor_;
     uint64_t sessionId_;
     std::vector<std::string> laneStrategies_;
-    unsigned timeoutMs_ = 0;
+    unsigned deadlineMs_;
+    unsigned timeoutMs_;
     std::atomic<bool> interrupted_{false};
     std::string lastUnknownReason_;
     FailureKind lastFailure_ = FailureKind::None;

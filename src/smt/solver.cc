@@ -7,83 +7,38 @@ namespace keq::smt {
 SolverStats &
 SolverStats::operator+=(const SolverStats &rhs)
 {
-    queries += rhs.queries;
-    sat += rhs.sat;
-    unsat += rhs.unsat;
-    unknown += rhs.unknown;
-    totalSeconds += rhs.totalSeconds;
-    cacheHits += rhs.cacheHits;
-    cacheMisses += rhs.cacheMisses;
-    cacheEvictions += rhs.cacheEvictions;
-    rewriteResolved += rhs.rewriteResolved;
-    rewriteApplications += rhs.rewriteApplications;
-    sliceResolved += rhs.sliceResolved;
-    slicedAssertions += rhs.slicedAssertions;
-    incrementalReused += rhs.incrementalReused;
-    incrementalSolves += rhs.incrementalSolves;
-    incrementalFallbacks += rhs.incrementalFallbacks;
-    coldSolves += rhs.coldSolves;
-    watchdogInterrupts += rhs.watchdogInterrupts;
-    guardedRetries += rhs.guardedRetries;
-    guardedEscalations += rhs.guardedEscalations;
-    escalatedResolved += rhs.escalatedResolved;
-    solverCrashes += rhs.solverCrashes;
-    faultsInjected += rhs.faultsInjected;
-    workerCrashes += rhs.workerCrashes;
-    workerRestarts += rhs.workerRestarts;
-    heartbeatTimeouts += rhs.heartbeatTimeouts;
-    wireBytesSent += rhs.wireBytesSent;
-    wireBytesReceived += rhs.wireBytesReceived;
-    batchedQueries += rhs.batchedQueries;
-    for (size_t i = 0; i < kPortfolioMaxLanes; ++i)
-        portfolioWins[i] += rhs.portfolioWins[i];
-    portfolioCancellations += rhs.portfolioCancellations;
-    crossLaneDisagreements += rhs.crossLaneDisagreements;
+    forEachStatsField(
+        [](StatsField, auto &into, const auto &add) { into += add; }, *this,
+        rhs);
     return *this;
 }
 
 SolverStats
 SolverStats::operator-(const SolverStats &rhs) const
 {
-    SolverStats delta;
-    delta.queries = queries - rhs.queries;
-    delta.sat = sat - rhs.sat;
-    delta.unsat = unsat - rhs.unsat;
-    delta.unknown = unknown - rhs.unknown;
-    delta.totalSeconds = totalSeconds - rhs.totalSeconds;
-    delta.cacheHits = cacheHits - rhs.cacheHits;
-    delta.cacheMisses = cacheMisses - rhs.cacheMisses;
-    delta.cacheEvictions = cacheEvictions - rhs.cacheEvictions;
-    delta.rewriteResolved = rewriteResolved - rhs.rewriteResolved;
-    delta.rewriteApplications =
-        rewriteApplications - rhs.rewriteApplications;
-    delta.sliceResolved = sliceResolved - rhs.sliceResolved;
-    delta.slicedAssertions = slicedAssertions - rhs.slicedAssertions;
-    delta.incrementalReused = incrementalReused - rhs.incrementalReused;
-    delta.incrementalSolves = incrementalSolves - rhs.incrementalSolves;
-    delta.incrementalFallbacks =
-        incrementalFallbacks - rhs.incrementalFallbacks;
-    delta.coldSolves = coldSolves - rhs.coldSolves;
-    delta.watchdogInterrupts = watchdogInterrupts - rhs.watchdogInterrupts;
-    delta.guardedRetries = guardedRetries - rhs.guardedRetries;
-    delta.guardedEscalations =
-        guardedEscalations - rhs.guardedEscalations;
-    delta.escalatedResolved = escalatedResolved - rhs.escalatedResolved;
-    delta.solverCrashes = solverCrashes - rhs.solverCrashes;
-    delta.faultsInjected = faultsInjected - rhs.faultsInjected;
-    delta.workerCrashes = workerCrashes - rhs.workerCrashes;
-    delta.workerRestarts = workerRestarts - rhs.workerRestarts;
-    delta.heartbeatTimeouts = heartbeatTimeouts - rhs.heartbeatTimeouts;
-    delta.wireBytesSent = wireBytesSent - rhs.wireBytesSent;
-    delta.wireBytesReceived = wireBytesReceived - rhs.wireBytesReceived;
-    delta.batchedQueries = batchedQueries - rhs.batchedQueries;
-    for (size_t i = 0; i < kPortfolioMaxLanes; ++i)
-        delta.portfolioWins[i] = portfolioWins[i] - rhs.portfolioWins[i];
-    delta.portfolioCancellations =
-        portfolioCancellations - rhs.portfolioCancellations;
-    delta.crossLaneDisagreements =
-        crossLaneDisagreements - rhs.crossLaneDisagreements;
+    SolverStats delta = *this;
+    forEachStatsField(
+        [](StatsField, auto &into, const auto &sub) { into -= sub; }, delta,
+        rhs);
     return delta;
+}
+
+const char *
+statsClassName(StatsClass cls)
+{
+    switch (cls) {
+      case StatsClass::Verdict: return "verdict";
+      case StatsClass::CacheStage: return "cache stage";
+      case StatsClass::Backend: return "backend";
+    }
+    return "?";
+}
+
+std::string
+statsKey(const StatsField &field)
+{
+    return field.lane < 0 ? field.key
+                          : field.key + std::to_string(field.lane);
 }
 
 const char *
@@ -100,34 +55,23 @@ satResultName(SatResult result)
 void
 foldNonVerdictStats(SolverStats &into, const SolverStats &delta)
 {
-    into.totalSeconds += delta.totalSeconds;
-    into.cacheHits += delta.cacheHits;
-    into.cacheMisses += delta.cacheMisses;
-    into.cacheEvictions += delta.cacheEvictions;
-    into.rewriteResolved += delta.rewriteResolved;
-    into.rewriteApplications += delta.rewriteApplications;
-    into.sliceResolved += delta.sliceResolved;
-    into.slicedAssertions += delta.slicedAssertions;
-    into.incrementalReused += delta.incrementalReused;
-    into.incrementalSolves += delta.incrementalSolves;
-    into.incrementalFallbacks += delta.incrementalFallbacks;
-    into.coldSolves += delta.coldSolves;
-    into.watchdogInterrupts += delta.watchdogInterrupts;
-    into.guardedRetries += delta.guardedRetries;
-    into.guardedEscalations += delta.guardedEscalations;
-    into.escalatedResolved += delta.escalatedResolved;
-    into.solverCrashes += delta.solverCrashes;
-    into.faultsInjected += delta.faultsInjected;
-    into.workerCrashes += delta.workerCrashes;
-    into.workerRestarts += delta.workerRestarts;
-    into.heartbeatTimeouts += delta.heartbeatTimeouts;
-    into.wireBytesSent += delta.wireBytesSent;
-    into.wireBytesReceived += delta.wireBytesReceived;
-    into.batchedQueries += delta.batchedQueries;
-    for (size_t i = 0; i < SolverStats::kPortfolioMaxLanes; ++i)
-        into.portfolioWins[i] += delta.portfolioWins[i];
-    into.portfolioCancellations += delta.portfolioCancellations;
-    into.crossLaneDisagreements += delta.crossLaneDisagreements;
+    forEachStatsField(
+        [](StatsField field, auto &sum, const auto &add) {
+            if (field.cls != StatsClass::Verdict)
+                sum += add;
+        },
+        into, delta);
+}
+
+void
+foldBackendStats(SolverStats &into, const SolverStats &delta)
+{
+    forEachStatsField(
+        [](StatsField field, auto &sum, const auto &add) {
+            if (field.cls == StatsClass::Backend)
+                sum += add;
+        },
+        into, delta);
 }
 
 FailureKind
@@ -157,35 +101,6 @@ Solver::proveImplication(Term hypothesis, Term conclusion)
     if (hypothesis.isTrue() && conclusion.isFalse())
         return false;
     return checkSat({negated}) == SatResult::Unsat;
-}
-
-bool
-Solver::proveImplication(const std::vector<Term> &hypothesis,
-                         Term conclusion)
-{
-    TermFactory &tf = factory();
-    // The folded conjunction decides the fast paths exactly like the
-    // single-term overload — the two forms must never disagree.
-    Term folded = tf.trueTerm();
-    for (const Term &part : hypothesis)
-        folded = tf.mkAnd(folded, part);
-    Term negated = tf.mkAnd(folded, tf.mkNot(conclusion));
-    if (negated.isFalse())
-        return true;
-    if (folded.isTrue() && conclusion.isFalse())
-        return false;
-    // Ship the hypothesis parts unmerged so consecutive obligations
-    // sharing them present an identical prefix to an incremental
-    // backend (trivially-true parts carry no information; drop them to
-    // keep the prefix canonical).
-    std::vector<Term> assertions;
-    assertions.reserve(hypothesis.size() + 1);
-    for (const Term &part : hypothesis) {
-        if (!part.isTrue())
-            assertions.push_back(part);
-    }
-    assertions.push_back(tf.mkNot(conclusion));
-    return checkSat(assertions) == SatResult::Unsat;
 }
 
 } // namespace keq::smt

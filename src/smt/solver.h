@@ -36,80 +36,148 @@ using BackendTuning = std::vector<std::pair<std::string, std::string>>;
 
 const char *satResultName(SatResult result);
 
+/**
+ * How a SolverStats field aggregates across stack layers:
+ *  - Verdict: the logical-query counters (queries/sat/unsat/unknown).
+ *    Every layer counts one query per checkSat itself, so decorators
+ *    never fold them from the layers below (foldNonVerdictStats).
+ *  - CacheStage: what CachingSolver counts itself (its rewrite, slice
+ *    and cache stages, and the wall time it spends in its backend). It
+ *    never folds these from its backend, so a sandboxed backend's
+ *    worker-side cache traffic cannot break the one-stage-per-query
+ *    invariant below.
+ *  - Backend: work the layers under the cache perform (incremental
+ *    reuse, recovery, transport, portfolio races); every decorator
+ *    folds it up.
+ */
+enum class StatsClass { Verdict, CacheStage, Backend };
+
+const char *statsClassName(StatsClass cls);
+
+/**
+ * Every SolverStats field, declared once, in --stats-json and wire
+ * order: X(type, member, json key, class) for scalars and
+ * L(type, member, json key prefix, class) for the per-lane portfolio
+ * array (keys prefix0..prefix{kPortfolioMaxLanes-1}). The struct
+ * members, the arithmetic, CachingSolver's backend fold, the wire
+ * codec and keqc's printers are all generated from this table; adding
+ * a row changes the wire layout (bump wire::kProtocolVersion).
+ *
+ * For a CachingSolver every query is resolved by exactly one stage:
+ *   rewriteResolved + sliceResolved + cacheHits + cacheMisses
+ *     == queries.
+ * The fault-tolerance, sandbox and portfolio rows count recovery work,
+ * IPC overhead and race outcomes, never logical queries: the verdict
+ * rows stay byte-identical whether or not faults occurred or lanes
+ * raced, which is what lets the chaos suites diff canonical summaries.
+ */
+#define KEQ_SOLVER_STATS(X, L)                                              \
+    X(uint64_t, queries, "queries", Verdict)                                \
+    X(uint64_t, sat, "sat", Verdict)                                        \
+    X(uint64_t, unsat, "unsat", Verdict)                                    \
+    X(uint64_t, unknown, "unknown", Verdict)                                \
+    /* Memoization (nonzero only when a CachingSolver fronts the stack) */  \
+    X(uint64_t, cacheHits, "cache_hits", CacheStage)                        \
+    X(uint64_t, cacheMisses, "cache_misses", CacheStage)                    \
+    X(uint64_t, cacheEvictions, "cache_evictions", CacheStage)              \
+    /* Query optimization stages: rewrite engine, COI slicing */            \
+    X(uint64_t, rewriteResolved, "rewrite_resolved", CacheStage)            \
+    X(uint64_t, rewriteApplications, "rewrite_applications", CacheStage)    \
+    X(uint64_t, sliceResolved, "slice_resolved", CacheStage)                \
+    X(uint64_t, slicedAssertions, "sliced_assertions", CacheStage)          \
+    /* Incremental backend: reused prefix assertions, warm/cold checks, */  \
+    /* Unknown -> fresh-solver fallbacks */                                 \
+    X(uint64_t, incrementalReused, "incremental_reused", Backend)           \
+    X(uint64_t, incrementalSolves, "incremental_solves", Backend)           \
+    X(uint64_t, incrementalFallbacks, "incremental_fallbacks", Backend)     \
+    X(uint64_t, coldSolves, "cold_solves", Backend)                         \
+    /* Fault tolerance (GuardedSolver / FaultInjectingSolver) */            \
+    X(uint64_t, watchdogInterrupts, "watchdog_interrupts", Backend)         \
+    X(uint64_t, guardedRetries, "guarded_retries", Backend)                 \
+    X(uint64_t, guardedEscalations, "guarded_escalations", Backend)         \
+    X(uint64_t, escalatedResolved, "escalated_resolved", Backend)           \
+    X(uint64_t, solverCrashes, "solver_crashes", Backend)                   \
+    X(uint64_t, faultsInjected, "faults_injected", Backend)                 \
+    /* Process isolation (SandboxSolver / WorkerSupervisor) */              \
+    X(uint64_t, workerCrashes, "worker_crashes", Backend)                   \
+    X(uint64_t, workerRestarts, "worker_restarts", Backend)                 \
+    X(uint64_t, heartbeatTimeouts, "heartbeat_timeouts", Backend)           \
+    X(uint64_t, wireBytesSent, "wire_bytes_sent", Backend)                  \
+    X(uint64_t, wireBytesReceived, "wire_bytes_received", Backend)          \
+    /* Portfolio races: first-answer wins per lane, losers interrupted, */  \
+    /* definite-verdict mismatches between lanes */                         \
+    L(uint64_t, portfolioWins, "portfolio_wins_", Backend)                  \
+    X(uint64_t, portfolioCancellations, "portfolio_cancellations",          \
+      Backend)                                                              \
+    X(uint64_t, crossLaneDisagreements, "cross_lane_disagreements",         \
+      Backend)                                                              \
+    /* Wall time spent below the reporting layer */                         \
+    X(double, totalSeconds, "total_seconds", CacheStage)
+
 /** Aggregate statistics over the life of a solver. */
 struct SolverStats
 {
-    uint64_t queries = 0;
-    uint64_t sat = 0;
-    uint64_t unsat = 0;
-    uint64_t unknown = 0;
-    double totalSeconds = 0.0;
-
-    // Memoization counters; nonzero only when a CachingSolver fronts the
-    // backend. For a CachingSolver every query is resolved by exactly one
-    // stage, so
-    //   rewriteResolved + sliceResolved + cacheHits + cacheMisses
-    //     == queries.
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-    uint64_t cacheEvictions = 0;
-
-    // Per-stage counters of the query optimization stack
-    // (simplify -> slice -> cache -> incremental Z3); all zero for the
-    // unoptimized stack.
-    uint64_t rewriteResolved = 0; ///< queries decided by the rewrite engine
-    uint64_t rewriteApplications = 0; ///< individual rewrite rule firings
-    uint64_t sliceResolved = 0;   ///< queries decided by COI slicing alone
-    uint64_t slicedAssertions = 0; ///< assertions pruned before solving
-    uint64_t incrementalReused = 0; ///< assertions reused from a live prefix
-    uint64_t incrementalSolves = 0; ///< backend checks reusing >= 1 assertion
-    uint64_t incrementalFallbacks = 0; ///< Unknown -> fresh-solver retries
-    uint64_t coldSolves = 0;      ///< backend checks with no reused prefix
-
-    // Fault-tolerance counters (GuardedSolver / FaultInjectingSolver).
-    // These count *recovery work*, never logical queries: the verdict
-    // counters above stay byte-identical whether or not faults occurred,
-    // which is what lets the chaos suite diff canonical summaries.
-    uint64_t watchdogInterrupts = 0; ///< deadline/cancel interrupts fired
-    uint64_t guardedRetries = 0;     ///< same-rung retry attempts
-    uint64_t guardedEscalations = 0; ///< moves to the next ladder rung
-    uint64_t escalatedResolved = 0;  ///< queries decided by a fallback rung
-    uint64_t solverCrashes = 0;      ///< backend exceptions absorbed
-    uint64_t faultsInjected = 0;     ///< faults the injection harness fired
-
-    // Process-isolation counters (SandboxSolver / WorkerSupervisor).
-    // Like the fault-tolerance block these count recovery work and IPC
-    // overhead, never logical queries.
-    uint64_t workerCrashes = 0;     ///< worker process deaths observed
-    uint64_t workerRestarts = 0;    ///< workers respawned after a death
-    uint64_t heartbeatTimeouts = 0; ///< queries killed for a silent worker
-    uint64_t wireBytesSent = 0;     ///< protocol bytes shipped to workers
-    uint64_t wireBytesReceived = 0; ///< protocol bytes read from workers
-
-    // Portfolio counters (PortfolioSolver / batched discharge). Wins and
-    // cancellations count race outcomes, never logical queries; a lane
-    // losing a race is invisible to the verdict counters above.
     static constexpr size_t kPortfolioMaxLanes = 4;
-    uint64_t batchedQueries = 0; ///< obligations reusing a warm batch prefix
-    uint64_t portfolioWins[kPortfolioMaxLanes] = {}; ///< first-answer wins
-    uint64_t portfolioCancellations = 0; ///< losing lanes interrupted
-    uint64_t crossLaneDisagreements = 0; ///< definite-verdict mismatches
+
+#define KEQ_STATS_DECLARE(type, member, key, cls) type member = 0;
+#define KEQ_STATS_DECLARE_LANES(type, member, key, cls)                     \
+    type member[kPortfolioMaxLanes] = {};
+    KEQ_SOLVER_STATS(KEQ_STATS_DECLARE, KEQ_STATS_DECLARE_LANES)
+#undef KEQ_STATS_DECLARE
+#undef KEQ_STATS_DECLARE_LANES
 
     SolverStats &operator+=(const SolverStats &rhs);
     /** Field-wise difference; used to attribute counters to one check. */
     SolverStats operator-(const SolverStats &rhs) const;
 };
 
+/** One table row as a visitor sees it. */
+struct StatsField
+{
+    const char *key; ///< json key (the lane prefix for lane slots)
+    int lane;        ///< lane index for portfolio slots, -1 otherwise
+    StatsClass cls;
+};
+
 /**
- * Adds every field of @p delta to @p into EXCEPT the logical-query
- * counters (queries, sat, unsat, unknown). Decorators that retry or
- * escalate (GuardedSolver, FaultInjectingSolver) count one logical query
- * per checkSat call themselves, but must still surface the work their
+ * Calls fn(StatsField, field&) for every field of @p stats in table
+ * order (each portfolio lane slot separately). Pass two stats objects
+ * to visit them side by side: fn(StatsField, field&, other.field&).
+ */
+template <typename Fn, typename... Stats>
+void
+forEachStatsField(Fn &&fn, Stats &...stats)
+{
+#define KEQ_STATS_VISIT(type, member, key, cls)                             \
+    fn(StatsField{key, -1, StatsClass::cls}, stats.member...);
+#define KEQ_STATS_VISIT_LANES(type, member, key, cls)                       \
+    for (size_t lane = 0; lane < SolverStats::kPortfolioMaxLanes; ++lane)   \
+        fn(StatsField{key, static_cast<int>(lane), StatsClass::cls},        \
+           stats.member[lane]...);
+    KEQ_SOLVER_STATS(KEQ_STATS_VISIT, KEQ_STATS_VISIT_LANES)
+#undef KEQ_STATS_VISIT
+#undef KEQ_STATS_VISIT_LANES
+}
+
+/** The json key of @p field ("portfolio_wins_2" for a lane slot). */
+std::string statsKey(const StatsField &field);
+
+/**
+ * Adds every field of @p delta to @p into EXCEPT the Verdict class
+ * (queries, sat, unsat, unknown). Decorators that retry or escalate
+ * (GuardedSolver, FaultInjectingSolver) count one logical query per
+ * checkSat call themselves, but must still surface the work their
  * rungs performed — cache traffic, incremental reuse, injected faults,
- * backend seconds — without inflating the query/verdict counts that the
- * canonical (byte-identical) summaries are built from.
+ * backend seconds — without inflating the query/verdict counts that
+ * the canonical (byte-identical) summaries are built from.
  */
 void foldNonVerdictStats(SolverStats &into, const SolverStats &delta);
+
+/**
+ * Adds only the Backend class of @p delta to @p into: what a
+ * CachingSolver takes from the stack below it.
+ */
+void foldBackendStats(SolverStats &into, const SolverStats &delta);
 
 class Assignment; // evaluator.h
 
@@ -172,20 +240,6 @@ class Solver
      *         results (e.g. timeouts) report false.
      */
     bool proveImplication(Term hypothesis, Term conclusion);
-
-    /**
-     * Batched-discharge form: proves `(/\ hypothesis) => conclusion` by
-     * shipping the hypothesis as *separate leading assertions* followed
-     * by `!conclusion`, instead of collapsing everything into one
-     * conjunction. Logically identical to the single-term overload, but
-     * consecutive obligations sharing a hypothesis then present an
-     * identical assertion prefix to an incremental backend, which keeps
-     * the prefix asserted in a warm scope and push/pops only the final
-     * negated conclusion (SolverStats::incrementalReused measures the
-     * effect). Verdicts never differ between the two forms.
-     */
-    bool proveImplication(const std::vector<Term> &hypothesis,
-                          Term conclusion);
 
     /** Per-query timeout; 0 means no limit. */
     virtual void setTimeoutMs(unsigned timeout_ms) = 0;

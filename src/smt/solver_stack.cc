@@ -12,7 +12,8 @@ buildSolverStack(TermFactory &factory, const SolverStackSpec &spec)
     SolverStack stack;
     if (spec.sandbox != nullptr)
         stack.backend = std::make_unique<SandboxSolver>(
-            factory, *spec.sandbox, spec.laneEntries);
+            factory, *spec.sandbox, spec.laneEntries,
+            spec.guard.has_value() ? spec.guard->deadlineMs : 0);
     else if (spec.lanes.size() > 1)
         stack.backend =
             std::make_unique<PortfolioSolver>(factory, spec.lanes);

@@ -12,7 +12,8 @@
  * cold rung exists only when the rung-1 plan faults.derive(1) is
  * enabled (without a plan it would duplicate the terminal rung), and
  * the terminal rung is always a pristine cold Z3Solver. A sandbox spec
- * builds backend and cache only: the worker runs its own guard.
+ * builds backend and cache only: the worker runs its own guard, and the
+ * guard's deadlineMs caps each sandboxed query's timeout instead.
  */
 
 #include <memory>

@@ -545,49 +545,38 @@ decodeTerms(Decoder &dec, TermFactory &factory, VarSortContext *vars,
 
 namespace {
 
-/**
- * Every SolverStats field in declaration order. Adding a field here
- * (and in solver.h) changes the wire layout: bump kProtocolVersion.
- */
-template <typename Stats, typename Fn>
+/** Fields in the KEQ_SOLVER_STATS table, each lane slot counted. */
+#define KEQ_STATS_COUNT(type, member, key, cls) +1
+#define KEQ_STATS_COUNT_LANES(type, member, key, cls)                      \
+    +SolverStats::kPortfolioMaxLanes
+constexpr uint64_t kStatsFieldCount =
+    0 KEQ_SOLVER_STATS(KEQ_STATS_COUNT, KEQ_STATS_COUNT_LANES);
+#undef KEQ_STATS_COUNT
+#undef KEQ_STATS_COUNT_LANES
+
 void
-forEachStatsField(Stats &stats, Fn &&fn)
+encodeStatsField(Encoder &enc, uint64_t value)
 {
-    fn(stats.queries);
-    fn(stats.sat);
-    fn(stats.unsat);
-    fn(stats.unknown);
-    fn(stats.cacheHits);
-    fn(stats.cacheMisses);
-    fn(stats.cacheEvictions);
-    fn(stats.rewriteResolved);
-    fn(stats.rewriteApplications);
-    fn(stats.sliceResolved);
-    fn(stats.slicedAssertions);
-    fn(stats.incrementalReused);
-    fn(stats.incrementalSolves);
-    fn(stats.incrementalFallbacks);
-    fn(stats.coldSolves);
-    fn(stats.watchdogInterrupts);
-    fn(stats.guardedRetries);
-    fn(stats.guardedEscalations);
-    fn(stats.escalatedResolved);
-    fn(stats.solverCrashes);
-    fn(stats.faultsInjected);
-    fn(stats.workerCrashes);
-    fn(stats.workerRestarts);
-    fn(stats.heartbeatTimeouts);
-    fn(stats.wireBytesSent);
-    fn(stats.wireBytesReceived);
-    fn(stats.batchedQueries);
-    for (size_t i = 0; i < SolverStats::kPortfolioMaxLanes; ++i)
-        fn(stats.portfolioWins[i]);
-    fn(stats.portfolioCancellations);
-    fn(stats.crossLaneDisagreements);
+    enc.u64(value);
 }
 
-constexpr uint64_t kStatsFieldCount =
-    33; // 27 scalars + kPortfolioMaxLanes win slots + 2
+void
+encodeStatsField(Encoder &enc, double value)
+{
+    enc.f64(value);
+}
+
+bool
+decodeStatsField(Decoder &dec, uint64_t &value)
+{
+    return dec.u64(value);
+}
+
+bool
+decodeStatsField(Decoder &dec, double &value)
+{
+    return dec.f64(value);
+}
 
 } // namespace
 
@@ -595,9 +584,9 @@ void
 encodeStats(Encoder &enc, const SolverStats &stats)
 {
     enc.varuint(kStatsFieldCount);
-    forEachStatsField(stats,
-                      [&](const uint64_t &field) { enc.u64(field); });
-    enc.f64(stats.totalSeconds);
+    forEachStatsField(
+        [&](StatsField, const auto &field) { encodeStatsField(enc, field); },
+        stats);
 }
 
 bool
@@ -609,10 +598,12 @@ decodeStats(Decoder &dec, SolverStats &out)
     if (fields != kStatsFieldCount)
         return dec.fail("stats field count mismatch (version skew?)");
     bool allRead = true;
-    forEachStatsField(out, [&](uint64_t &field) {
-        allRead = allRead && dec.u64(field);
-    });
-    return allRead && dec.f64(out.totalSeconds);
+    forEachStatsField(
+        [&](StatsField, auto &field) {
+            allRead = allRead && decodeStatsField(dec, field);
+        },
+        out);
+    return allRead;
 }
 
 // --- Typed frames -------------------------------------------------------
@@ -731,7 +722,6 @@ encodeJobOptionsBody(Encoder &enc, const JobOptionsFrame &options)
     enc.u8(options.refinementOnly);
     enc.u8(options.positiveForm);
     enc.u8(options.crudeLiveness);
-    enc.u8(options.batchDischarge);
     enc.u32(options.smtTimeoutMs);
     enc.f64(options.wallBudgetSeconds);
     enc.u64(options.specSizeBudget);
@@ -743,13 +733,13 @@ decodeJobOptionsBody(Decoder &dec, JobOptionsFrame &out)
     if (!(dec.u8(out.mergeStores) && dec.u8(out.foldExtLoad) &&
           dec.u8(out.bug) && dec.u8(out.refinementOnly) &&
           dec.u8(out.positiveForm) && dec.u8(out.crudeLiveness) &&
-          dec.u8(out.batchDischarge) && dec.u32(out.smtTimeoutMs) &&
+          dec.u32(out.smtTimeoutMs) &&
           dec.f64(out.wallBudgetSeconds) &&
           dec.u64(out.specSizeBudget)))
         return false;
     if (out.mergeStores > 1 || out.foldExtLoad > 1 ||
         out.refinementOnly > 1 || out.positiveForm > 1 ||
-        out.crudeLiveness > 1 || out.batchDischarge > 1)
+        out.crudeLiveness > 1)
         return dec.fail("job-option flag not a boolean");
     if (out.bug > 2)
         return dec.fail("unknown isel bug discriminant");
@@ -787,23 +777,19 @@ encodeHelloReject(const HelloRejectFrame &frame)
 }
 
 std::string
-encodeSubmitJob(const SubmitJobFrame &frame, uint32_t version)
+encodeSubmitJob(const SubmitJobFrame &frame)
 {
     Encoder enc;
     enc.u64(frame.jobId);
     enc.str(frame.function);
     enc.str(frame.moduleText);
     encodeJobOptionsBody(enc, frame.options);
-    // v5 appends the job fingerprint; the v4 form is a strict prefix,
-    // so the decoder distinguishes them by atEnd, not by negotiation
-    // side channels.
-    if (version >= 5)
-        enc.u64(frame.fingerprint);
+    enc.u64(frame.fingerprint);
     return frameBytes(FrameType::SubmitJob, enc.take());
 }
 
 std::string
-encodeJobStatus(const JobStatusFrame &frame, uint32_t version)
+encodeJobStatus(const JobStatusFrame &frame)
 {
     Encoder enc;
     enc.u64(frame.queuedJobs);
@@ -818,11 +804,9 @@ encodeJobStatus(const JobStatusFrame &frame, uint32_t version)
     enc.u64(frame.auditMismatches);
     enc.u64(frame.quotaRejects);
     enc.u8(frame.draining);
-    if (version >= 5) {
-        enc.u64(frame.dedupHits);
-        enc.u64(frame.acceptedUnix);
-        enc.u64(frame.acceptedTcp);
-    }
+    enc.u64(frame.dedupHits);
+    enc.u64(frame.acceptedUnix);
+    enc.u64(frame.acceptedTcp);
     return frameBytes(FrameType::JobStatus, enc.take());
 }
 
@@ -988,13 +972,8 @@ decodeSubmitJob(const std::string &body, SubmitJobFrame &out,
                 std::string &error)
 {
     Decoder dec(body);
-    if (dec.u64(out.jobId) && dec.str(out.function) &&
-        dec.str(out.moduleText))
-        decodeJobOptionsBody(dec, out.options);
-    // v4 bodies end here; a v5 body carries exactly one trailing u64
-    // fingerprint. Anything else (a torn fingerprint, extra bytes) is
-    // corrupt and fails in finish().
-    if (dec.ok() && !dec.atEnd())
+    dec.u64(out.jobId) && dec.str(out.function) &&
+        dec.str(out.moduleText) && decodeJobOptionsBody(dec, out.options) &&
         dec.u64(out.fingerprint);
     if (dec.ok() && out.function.empty())
         dec.fail("job with empty function name");
@@ -1011,11 +990,9 @@ decodeJobStatus(const std::string &body, JobStatusFrame &out,
         dec.u64(out.activeClients) && dec.u64(out.busyRejects) &&
         dec.u64(out.storeBytes) && dec.u64(out.storeEvictions) &&
         dec.u64(out.storeQuarantined) && dec.u64(out.auditMismatches) &&
-        dec.u64(out.quotaRejects) && dec.u8(out.draining);
-    // v5 appends three counters as one all-or-nothing group.
-    if (dec.ok() && !dec.atEnd())
+        dec.u64(out.quotaRejects) && dec.u8(out.draining) &&
         dec.u64(out.dedupHits) && dec.u64(out.acceptedUnix) &&
-            dec.u64(out.acceptedTcp);
+        dec.u64(out.acceptedTcp);
     return finish(dec, error);
 }
 

@@ -54,26 +54,22 @@ namespace wire {
  * v2: Cancel frame, ResetFrame strategy string, portfolio stats
  * fields.
  * v3: validation-service frames (ClientHello .. Busy) spoken between
- * keqc and the keqd daemon, with explicit version negotiation at
- * connect.
+ * keqc and the keqd daemon, with an explicit version check at connect.
  * v4: JobStatus carries the month-scale operability counters (store
  * bytes/evictions/quarantines, audit mismatches, quota rejects) and
  * the draining flag.
  * v5: multi-host transport. SubmitJob carries a deterministic job
  * fingerprint (idempotent resubmission after failover), JobStatus
  * grows dedup + per-transport accept counters, and Ping/Pong frames
- * give clients a connection-level heartbeat. A v5 daemon still
- * negotiates with v4 clients (see kMinServiceProtocolVersion): the v4
- * frame forms remain valid prefixes of their v5 forms.
+ * give clients a connection-level heartbeat.
+ * v6: the stats block is generated from the KEQ_SOLVER_STATS table
+ * (the batched-obligation counter is gone) and JobOptions lost its
+ * batched-discharge byte.
+ * The daemon serves exactly this version: a ClientHello carrying any
+ * other (v4 and v5 included) gets a typed HelloReject naming it, so
+ * each frame has one encoder and one decoder.
  */
-constexpr uint32_t kProtocolVersion = 5;
-
-/**
- * Oldest client protocol a daemon still serves. A v4 client simply
- * never sends fingerprints or Pings and receives v4-shaped JobStatus
- * replies; verdicts are version-independent.
- */
-constexpr uint32_t kMinServiceProtocolVersion = 4;
+constexpr uint32_t kProtocolVersion = 6;
 
 /**
  * First four bytes of every ClientHello ("KEQD" little-endian). A
@@ -110,7 +106,7 @@ enum class FrameType : uint8_t {
     JobVerdict = 14,  ///< one finished job's report + solver stats
     Busy = 15,        ///< admission control: in-flight cap reached
 
-    // validation service, v5: connection-level heartbeat
+    // validation service: connection-level heartbeat
     Ping = 16, ///< client -> daemon liveness probe (nonce)
     Pong = 17, ///< daemon -> client echo of the Ping nonce
 };
@@ -290,7 +286,6 @@ struct JobOptionsFrame
     uint8_t refinementOnly = 0; ///< CheckerConfig::refinementOnly
     uint8_t positiveForm = 1;   ///< CheckerConfig::positiveFormOpt
     uint8_t crudeLiveness = 0;  ///< VcOptions::crudeLiveness
-    uint8_t batchDischarge = 0; ///< CheckerConfig::batchDischarge
     uint32_t smtTimeoutMs = 30000; ///< CheckerConfig::solverTimeoutMs
     double wallBudgetSeconds = 0;  ///< CheckerConfig::wallBudgetSeconds
     uint64_t specSizeBudget = 0;   ///< PipelineOptions::specSizeBudget
@@ -309,17 +304,16 @@ struct SubmitJobFrame
     std::string moduleText;
     JobOptionsFrame options;
     /**
-     * v5: deterministic job identity — a stable hash over (module
+     * Deterministic job identity — a stable hash over (module
      * text, function, jobOptionsKey), computed with
      * service::jobFingerprint. A nonzero value is a *resubmission
      * claim*: the client already sent this job once and its connection
      * died before the verdict arrived, so the daemon's completed-job
      * ledger may serve it idempotently — no second solve, no second
      * quota charge, no second journal append. First-time submissions
-     * (and every v4 submit) carry 0: they always take the real
-     * solving path, so distinct clients submitting identical work
-     * still exercise the shared warm query cache, never replay each
-     * other's ledger entries.
+     * carry 0: they always take the real solving path, so distinct
+     * clients submitting identical work still exercise the shared warm
+     * query cache, never replay each other's ledger entries.
      */
     uint64_t fingerprint = 0;
 };
@@ -333,21 +327,21 @@ struct JobStatusFrame
     uint64_t storeEntries = 0; ///< cross-run verdict store size
     uint64_t activeClients = 0;
     uint64_t busyRejects = 0;
-    // v4: month-scale operability counters.
+    // Month-scale operability counters.
     uint64_t storeBytes = 0;      ///< accounted verdict-store bytes
     uint64_t storeEvictions = 0;  ///< entries evicted by the byte cap
     uint64_t storeQuarantined = 0;///< entries tombstoned by audits
     uint64_t auditMismatches = 0; ///< trust-but-verify contradictions
     uint64_t quotaRejects = 0;    ///< Busy replies from quota/queue caps
     uint8_t draining = 0;         ///< 1 once SIGTERM drain began
-    // v5: multi-host transport counters.
+    // Multi-host transport counters.
     uint64_t dedupHits = 0;     ///< jobs served from the completed ledger
     uint64_t acceptedUnix = 0;  ///< connections accepted on AF_UNIX
     uint64_t acceptedTcp = 0;   ///< connections accepted on TCP
 };
 
 /**
- * v5 heartbeat. A client waiting on a slow verdict over TCP cannot
+ * Connection-level heartbeat. A client waiting on a slow verdict over TCP cannot
  * tell a long solve from a silently-dead peer (no RST ever arrives
  * when a remote host vanishes); a Ping answered inline by the daemon's
  * reader thread bounds that uncertainty. The nonce is echoed verbatim.
@@ -400,15 +394,8 @@ std::string encodeCancel(const CancelFrame &frame);
 std::string encodeClientHello(const ClientHelloFrame &frame);
 std::string encodeServerHello(const ServerHelloFrame &frame);
 std::string encodeHelloReject(const HelloRejectFrame &frame);
-/**
- * SubmitJob/JobStatus layouts grew in v5; @p version selects the form
- * so a v5 daemon can answer a v4 client with bytes it can decode (and
- * tests can fabricate v4 clients). Decoders accept both forms.
- */
-std::string encodeSubmitJob(const SubmitJobFrame &frame,
-                            uint32_t version = kProtocolVersion);
-std::string encodeJobStatus(const JobStatusFrame &frame,
-                            uint32_t version = kProtocolVersion);
+std::string encodeSubmitJob(const SubmitJobFrame &frame);
+std::string encodeJobStatus(const JobStatusFrame &frame);
 std::string encodeJobVerdict(const JobVerdictFrame &frame);
 std::string encodeBusy(const BusyFrame &frame);
 std::string encodePing(const PingFrame &frame);

@@ -3,7 +3,7 @@
  *  byte-identical to the pre-portfolio pipeline; 2- and 3-lane races
  *  (in-process and sandboxed) reproduce the single-lane verdicts over
  *  the synthetic Figure 6 corpus and all checked-in conformance corpus
- *  files; batched discharge is verdict-neutral; a losing lane's
+ *  files; a losing lane's
  *  cancellation never surfaces in the Figure 6 failure taxonomy; and a
  *  chaos storm over racing workers stays contained per query. */
 
@@ -60,7 +60,6 @@ TEST(PortfolioParity, PortfolioOffIsByteIdenticalToTheSeedStack)
     EXPECT_EQ(portfolioWinTotal(single.solverStats), 0u);
     EXPECT_EQ(single.solverStats.portfolioCancellations, 0u);
     EXPECT_EQ(single.solverStats.crossLaneDisagreements, 0u);
-    EXPECT_EQ(single.solverStats.batchedQueries, 0u);
 }
 
 TEST(PortfolioParity, ThreeLaneRaceReproducesSingleLaneVerdicts)
@@ -113,51 +112,6 @@ TEST(PortfolioParity, InvalidLaneSpecFailsFunctionsAsUnsupported)
             << fn.function << ": a malformed roster must fail loudly, "
             << "not silently race a default";
     }
-}
-
-TEST(PortfolioParity, BatchedDischargeIsVerdictNeutral)
-{
-    // The synthetic Figure 6 corpus folds every sync-point obligation
-    // away before the solver sees it, so it checks neutrality only.
-    llvmir::Module module = corpusModule(10);
-    PipelineOptions options;
-    ModuleReport reference = Pipeline(options, {}).run(module);
-
-    PipelineOptions batched_options;
-    batched_options.checker.batchDischarge = true;
-    ModuleReport batched = Pipeline(batched_options, {}).run(module);
-
-    EXPECT_EQ(batched.canonicalSummary(), reference.canonicalSummary())
-        << "hypothesis splitting must never change a verdict";
-    EXPECT_EQ(reference.solverStats.batchedQueries, 0u);
-
-    // The checked-in corpus has files (gep_nested, unreachable_path,
-    // ...) whose obligations survive folding and genuinely hit the
-    // solver through the batched path: sweep them all, byte-compare
-    // verdicts, and require the batch counter to have moved somewhere.
-    uint64_t total_batched = 0;
-    for (const conformance::CorpusCase &corpus_case :
-         conformance::loadCorpusDir(KEQ_CORPUS_DIR)) {
-        llvmir::Module corpus_module =
-            llvmir::parseModule(corpus_case.source);
-        llvmir::verifyModuleOrThrow(corpus_module);
-        PipelineOptions case_options;
-        case_options.isel = corpus_case.isel;
-        ModuleReport case_reference =
-            Pipeline(case_options, {}).run(corpus_module);
-
-        PipelineOptions case_batched = case_options;
-        case_batched.checker.batchDischarge = true;
-        ModuleReport case_report =
-            Pipeline(case_batched, {}).run(corpus_module);
-
-        EXPECT_EQ(case_report.canonicalSummary(),
-                  case_reference.canonicalSummary())
-            << corpus_case.name;
-        total_batched += case_report.solverStats.batchedQueries;
-    }
-    EXPECT_GT(total_batched, 0u)
-        << "the batched path must actually have discharged obligations";
 }
 
 /**

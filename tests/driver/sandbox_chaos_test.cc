@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <unordered_map>
 
@@ -108,6 +109,62 @@ TEST(SandboxChaosTest, RealWorkerKillsAreContainedPerQuery)
                 << failureKindName(fn.verdict.failure);
             EXPECT_NE(fn.outcome, Outcome::Succeeded);
         }
+    }
+}
+
+/**
+ * Chained constant-dividend divisions: in-process, with the default
+ * 30 s SMT timeout, one of its queries keeps Z3 busy for minutes
+ * (measured: 173 s for the whole function on a 4-core Xeon).
+ */
+constexpr const char *kSlowDivisions = R"(
+define i32 @slow(i32 %x, i32 %y, i32 %z) {
+entry:
+  %q1 = udiv i32 12345, %x
+  %q2 = udiv i32 %q1, %y
+  %q3 = urem i32 99991, %q2
+  %s = add i32 %q3, %z
+  %q4 = udiv i32 777777, %s
+  ret i32 %q4
+}
+)";
+
+/**
+ * The watchdog deadline reaches sandboxed queries: the worker runs its
+ * own guard, so the deadline (ExecutionOptions::deadlineMs, or the
+ * remaining job budget keqd passes as validateFunction's cap) must
+ * travel as the Query frame's timeout. Without it the 30 s SMT timeout
+ * alone bounds each query.
+ */
+TEST(SandboxChaosTest, DeadlineCapsSandboxedQueries)
+{
+    llvmir::Module module = llvmir::parseModule(kSlowDivisions);
+    llvmir::verifyModuleOrThrow(module);
+    PipelineOptions options;
+    options.checker.solverTimeoutMs = 30000;
+
+    for (bool asCap : {false, true}) {
+        SCOPED_TRACE(asCap ? "validateFunction cap" : "deadlineMs");
+        ExecutionOptions exec = sandboxed();
+        if (!asCap)
+            exec.deadlineMs = 200;
+        Pipeline pipeline(options, exec);
+        auto start = std::chrono::steady_clock::now();
+        FunctionReport report = pipeline.validateFunction(
+            module, module.functions.front(), asCap ? 200 : 0);
+        double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+
+        EXPECT_EQ(report.outcome, Outcome::Timeout) << report.detail;
+        EXPECT_EQ(report.verdict.failure, FailureKind::Timeout)
+            << report.detail;
+        EXPECT_GT(report.verdict.stats.solverStats.wireBytesSent, 0u)
+            << "the sandbox must actually have been used";
+        // Each attempt of the worker's ladder stops at ~200 ms (Z3's
+        // soft timeout, backed by the worker watchdog 1 s later); the
+        // bound leaves room for a loaded host.
+        EXPECT_LT(seconds, 20.0);
     }
 }
 

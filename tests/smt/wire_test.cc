@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/smt/caching_solver.h"
@@ -219,61 +221,166 @@ TEST(WireTermCodec, VarSortContextRejectsCrossQueryCollisions)
     }
 }
 
-TEST(WireStatsCodec, AllFieldsRoundTrip)
+/** Stamps every SolverStats field with a distinct value from @p base. */
+SolverStats
+stampedStats(uint64_t base)
 {
     SolverStats stats;
-    uint64_t seed = 1;
-    // Stamp every counter with a distinct value so a field ordering bug
-    // cannot cancel out.
-    for (uint64_t *field :
-         {&stats.queries, &stats.sat, &stats.unsat, &stats.unknown,
-          &stats.cacheHits, &stats.cacheMisses, &stats.cacheEvictions,
-          &stats.rewriteResolved, &stats.rewriteApplications,
-          &stats.sliceResolved, &stats.slicedAssertions,
-          &stats.incrementalReused, &stats.incrementalSolves,
-          &stats.incrementalFallbacks, &stats.coldSolves,
-          &stats.watchdogInterrupts, &stats.guardedRetries,
-          &stats.guardedEscalations, &stats.escalatedResolved,
-          &stats.solverCrashes, &stats.faultsInjected,
-          &stats.workerCrashes, &stats.workerRestarts,
-          &stats.heartbeatTimeouts, &stats.wireBytesSent,
-          &stats.wireBytesReceived, &stats.batchedQueries,
-          &stats.portfolioWins[0], &stats.portfolioWins[1],
-          &stats.portfolioWins[2], &stats.portfolioWins[3],
-          &stats.portfolioCancellations,
-          &stats.crossLaneDisagreements}) {
-        *field = seed++;
-    }
-    stats.totalSeconds = 1.25;
+    uint64_t next = base;
+    forEachStatsField(
+        [&](StatsField, auto &field) {
+            field = static_cast<std::decay_t<decltype(field)>>(next++);
+        },
+        stats);
+    return stats;
+}
 
+/** Backend that adds a fixed delta to its stats on every checkSat. */
+class StampingSolver : public Solver
+{
+  public:
+    StampingSolver(TermFactory &factory, SolverStats delta)
+        : factory_(factory), delta_(delta)
+    {}
+
+    SatResult
+    checkSat(const std::vector<Term> &) override
+    {
+        stats_ += delta_;
+        return SatResult::Unsat;
+    }
+
+    void setTimeoutMs(unsigned) override {}
+    const SolverStats &stats() const override { return stats_; }
+
+  protected:
+    TermFactory &factory() override { return factory_; }
+
+  private:
+    TermFactory &factory_;
+    SolverStats delta_;
+    SolverStats stats_;
+};
+
+/**
+ * The KEQ_SOLVER_STATS table drives every aggregate: each field gets a
+ * distinct value through the table, so a field dropped from (or
+ * duplicated in) any generated list cannot cancel out.
+ */
+TEST(SolverStatsTable, EveryFieldAggregatesByItsClass)
+{
+    const SolverStats big = stampedStats(1000);
+    const SolverStats small = stampedStats(1);
+
+    SolverStats sum = big;
+    sum += small;
+    SolverStats diff = big - small;
+    SolverStats foldedNonVerdict;
+    foldNonVerdictStats(foldedNonVerdict, big);
+    SolverStats foldedBackend;
+    foldBackendStats(foldedBackend, big);
+    forEachStatsField(
+        [&](StatsField field, const auto &b, const auto &s,
+            const auto &plus, const auto &minus, const auto &nonVerdict,
+            const auto &backend) {
+            SCOPED_TRACE(statsKey(field));
+            EXPECT_EQ(plus, b + s);
+            EXPECT_EQ(minus, b - s);
+            bool isVerdict = field.cls == StatsClass::Verdict;
+            EXPECT_EQ(nonVerdict, isVerdict ? 0 : b);
+            EXPECT_EQ(backend, field.cls == StatsClass::Backend ? b : 0);
+        },
+        big, small, sum, diff, foldedNonVerdict, foldedBackend);
+
+    // CachingSolver counts its Verdict and CacheStage fields itself and
+    // folds only the Backend class from the backend below it.
+    TermFactory tf;
+    StampingSolver backend(tf, big);
+    CachingSolver::Options options;
+    options.simplify = false;
+    options.slice = false;
+    CachingSolver caching(tf, backend, std::make_shared<QueryCache>(),
+                          options);
+    Term x = tf.var("x", Sort::bitVec(8));
+    ASSERT_EQ(caching.checkSat({tf.mkEq(x, tf.bvConst(8, 3))}),
+              SatResult::Unsat);
+    forEachStatsField(
+        [&](StatsField field, const auto &got, const auto &stamped) {
+            SCOPED_TRACE(statsKey(field));
+            if (field.cls == StatsClass::Backend)
+                EXPECT_EQ(got, stamped);
+            else
+                EXPECT_LT(got, stamped) << "folded from the backend";
+        },
+        caching.stats(), big);
+    EXPECT_EQ(caching.stats().queries, 1u);
+    EXPECT_EQ(caching.stats().cacheMisses, 1u);
+
+    // Wire round trip.
     Encoder enc;
-    encodeStats(enc, stats);
+    encodeStats(enc, big);
     std::string bytes = enc.take();
     Decoder dec(bytes);
     SolverStats back;
     ASSERT_TRUE(decodeStats(dec, back)) << dec.error();
     EXPECT_TRUE(dec.atEnd());
+    forEachStatsField(
+        [&](StatsField field, const auto &got, const auto &sent) {
+            EXPECT_EQ(got, sent) << statsKey(field);
+        },
+        back, big);
+}
 
-    seed = 1;
-    for (uint64_t value :
-         {back.queries, back.sat, back.unsat, back.unknown,
-          back.cacheHits, back.cacheMisses, back.cacheEvictions,
-          back.rewriteResolved, back.rewriteApplications,
-          back.sliceResolved, back.slicedAssertions,
-          back.incrementalReused, back.incrementalSolves,
-          back.incrementalFallbacks, back.coldSolves,
-          back.watchdogInterrupts, back.guardedRetries,
-          back.guardedEscalations, back.escalatedResolved,
-          back.solverCrashes, back.faultsInjected, back.workerCrashes,
-          back.workerRestarts, back.heartbeatTimeouts,
-          back.wireBytesSent, back.wireBytesReceived,
-          back.batchedQueries, back.portfolioWins[0],
-          back.portfolioWins[1], back.portfolioWins[2],
-          back.portfolioWins[3], back.portfolioCancellations,
-          back.crossLaneDisagreements}) {
-        EXPECT_EQ(value, seed++);
-    }
-    EXPECT_DOUBLE_EQ(back.totalSeconds, 1.25);
+/**
+ * The `keqc --stats-json` "solver" keys, in order. This literal list
+ * is the reference: renaming or reordering a table row must show up
+ * here.
+ */
+TEST(SolverStatsTable, JsonKeysMatchTheGoldenOrder)
+{
+    const std::vector<std::string> golden = {
+        "queries",
+        "sat",
+        "unsat",
+        "unknown",
+        "cache_hits",
+        "cache_misses",
+        "cache_evictions",
+        "rewrite_resolved",
+        "rewrite_applications",
+        "slice_resolved",
+        "sliced_assertions",
+        "incremental_reused",
+        "incremental_solves",
+        "incremental_fallbacks",
+        "cold_solves",
+        "watchdog_interrupts",
+        "guarded_retries",
+        "guarded_escalations",
+        "escalated_resolved",
+        "solver_crashes",
+        "faults_injected",
+        "worker_crashes",
+        "worker_restarts",
+        "heartbeat_timeouts",
+        "wire_bytes_sent",
+        "wire_bytes_received",
+        "portfolio_wins_0",
+        "portfolio_wins_1",
+        "portfolio_wins_2",
+        "portfolio_wins_3",
+        "portfolio_cancellations",
+        "cross_lane_disagreements",
+        "total_seconds",
+    };
+    std::vector<std::string> keys;
+    SolverStats stats;
+    forEachStatsField(
+        [&](StatsField field, const auto &) {
+            keys.push_back(statsKey(field));
+        },
+        stats);
+    EXPECT_EQ(keys, golden);
 }
 
 TEST(WireFrames, TypedFramesRoundTrip)

@@ -46,9 +46,6 @@
  *     --portfolio-lanes=SPEC
  *                         explicit lane roster, e.g.
  *                         "default,int2bv,cold:random_seed=3"
- *     --batch-discharge   ship obligation hypotheses as separate
- *                         assertions so the incremental backend keeps
- *                         them in a warm scope across obligations
  *     --daemon=ENDPOINTS  submit jobs to a running keq-daemon instead
  *                         of solving locally. ENDPOINTS is a comma-
  *                         separated failover list (unix:PATH,
@@ -140,8 +137,7 @@ usage(const char *argv0)
               << "  --chaos=PCT --chaos-seed=N\n"
               << "  --sandbox --sandbox-workers=N --worker-memory-mb=N "
                  "--worker-path=PATH\n"
-              << "  --portfolio=N --portfolio-lanes=SPEC "
-                 "--batch-discharge\n"
+              << "  --portfolio=N --portfolio-lanes=SPEC\n"
               << "  --daemon=ENDPOINTS (comma-separated failover "
                  "list: unix:PATH,tcp:HOST:PORT)\n"
               << "  --stats-json=PATH --gen-corpus=N --corpus-seed=N\n";
@@ -265,8 +261,6 @@ parseArgs(int argc, char **argv)
                           << "\n";
                 usage(argv[0]);
             }
-        } else if (arg == "--batch-discharge") {
-            options.pipeline.checker.batchDischarge = true;
         } else if (arg.rfind("--daemon=", 0) == 0) {
             options.daemon_socket = value_of("--daemon=");
             std::string endpointError;
@@ -386,52 +380,16 @@ writeStatsJson(const std::string &path,
             << (i + 1 < std::size(kKinds) ? ",\n" : "\n");
     }
     out << "  },\n";
-    out << "  \"solver\": {\n";
-    struct SolverField
-    {
-        const char *name;
-        uint64_t value;
-    };
-    const SolverField fields[] = {
-        {"queries", stats.queries},
-        {"sat", stats.sat},
-        {"unsat", stats.unsat},
-        {"unknown", stats.unknown},
-        {"cache_hits", stats.cacheHits},
-        {"cache_misses", stats.cacheMisses},
-        {"cache_evictions", stats.cacheEvictions},
-        {"rewrite_resolved", stats.rewriteResolved},
-        {"rewrite_applications", stats.rewriteApplications},
-        {"slice_resolved", stats.sliceResolved},
-        {"sliced_assertions", stats.slicedAssertions},
-        {"incremental_reused", stats.incrementalReused},
-        {"incremental_solves", stats.incrementalSolves},
-        {"incremental_fallbacks", stats.incrementalFallbacks},
-        {"cold_solves", stats.coldSolves},
-        {"watchdog_interrupts", stats.watchdogInterrupts},
-        {"guarded_retries", stats.guardedRetries},
-        {"guarded_escalations", stats.guardedEscalations},
-        {"escalated_resolved", stats.escalatedResolved},
-        {"solver_crashes", stats.solverCrashes},
-        {"faults_injected", stats.faultsInjected},
-        {"worker_crashes", stats.workerCrashes},
-        {"worker_restarts", stats.workerRestarts},
-        {"heartbeat_timeouts", stats.heartbeatTimeouts},
-        {"wire_bytes_sent", stats.wireBytesSent},
-        {"wire_bytes_received", stats.wireBytesReceived},
-        {"batched_queries", stats.batchedQueries},
-        {"portfolio_wins_0", stats.portfolioWins[0]},
-        {"portfolio_wins_1", stats.portfolioWins[1]},
-        {"portfolio_wins_2", stats.portfolioWins[2]},
-        {"portfolio_wins_3", stats.portfolioWins[3]},
-        {"portfolio_cancellations", stats.portfolioCancellations},
-        {"cross_lane_disagreements", stats.crossLaneDisagreements},
-    };
-    for (const SolverField &field : fields) {
-        out << "    \"" << field.name << "\": "
-            << static_cast<unsigned long long>(field.value) << ",\n";
-    }
-    out << "    \"total_seconds\": " << stats.totalSeconds << "\n  },\n";
+    out << "  \"solver\": {";
+    const char *separator = "\n";
+    smt::forEachStatsField(
+        [&](smt::StatsField field, const auto &value) {
+            out << separator << "    \"" << smt::statsKey(field)
+                << "\": " << value;
+            separator = ",\n";
+        },
+        stats);
+    out << "\n  },\n";
     out << "  \"cache\": {\n"
         << "    \"hits\": " << report.cacheStats.hits << ",\n"
         << "    \"misses\": " << report.cacheStats.misses << ",\n"
@@ -708,49 +666,27 @@ main(int argc, char **argv)
         smt::SolverStats stats;
         for (const driver::FunctionReport &fn_report : report.functions)
             stats += fn_report.verdict.stats.solverStats;
-        auto u = [](uint64_t v) {
-            return static_cast<unsigned long long>(v);
-        };
-        std::printf("solver stack: %llu queries (%llu sat, %llu unsat, "
-                    "%llu unknown), %.3f s in backend\n",
-                    u(stats.queries), u(stats.sat), u(stats.unsat),
-                    u(stats.unknown), stats.totalSeconds);
-        std::printf("  rewrite:     %llu resolved, %llu rule firings\n",
-                    u(stats.rewriteResolved),
-                    u(stats.rewriteApplications));
-        std::printf("  slice:       %llu resolved, %llu assertions "
-                    "pruned\n",
-                    u(stats.sliceResolved), u(stats.slicedAssertions));
-        std::printf("  cache:       %llu hits, %llu misses\n",
-                    u(stats.cacheHits), u(stats.cacheMisses));
-        std::printf("  incremental: %llu assertions reused over %llu "
-                    "warm checks, %llu cold, %llu fallbacks\n",
-                    u(stats.incrementalReused),
-                    u(stats.incrementalSolves), u(stats.coldSolves),
-                    u(stats.incrementalFallbacks));
-        std::printf("  guard:       %llu watchdog interrupts, %llu "
-                    "retries, %llu escalations (%llu resolved by a "
-                    "fallback rung)\n",
-                    u(stats.watchdogInterrupts), u(stats.guardedRetries),
-                    u(stats.guardedEscalations),
-                    u(stats.escalatedResolved));
-        std::printf("  faults:      %llu solver crashes absorbed, %llu "
-                    "injected\n",
-                    u(stats.solverCrashes), u(stats.faultsInjected));
-        std::printf("  sandbox:     %llu worker crashes, %llu restarts, "
-                    "%llu heartbeat timeouts, %llu/%llu wire bytes "
-                    "out/in\n",
-                    u(stats.workerCrashes), u(stats.workerRestarts),
-                    u(stats.heartbeatTimeouts), u(stats.wireBytesSent),
-                    u(stats.wireBytesReceived));
-        std::printf("  portfolio:   wins by lane [%llu %llu %llu %llu], "
-                    "%llu losers cancelled, %llu disagreements, %llu "
-                    "batched queries\n",
-                    u(stats.portfolioWins[0]), u(stats.portfolioWins[1]),
-                    u(stats.portfolioWins[2]), u(stats.portfolioWins[3]),
-                    u(stats.portfolioCancellations),
-                    u(stats.crossLaneDisagreements),
-                    u(stats.batchedQueries));
+        // Every table field, grouped by aggregation class, wrapped.
+        std::printf("solver stack:\n");
+        for (smt::StatsClass cls :
+             {smt::StatsClass::Verdict, smt::StatsClass::CacheStage,
+              smt::StatsClass::Backend}) {
+            std::ostringstream line;
+            line << "  " << smt::statsClassName(cls) << ":";
+            smt::forEachStatsField(
+                [&](smt::StatsField field, const auto &value) {
+                    if (field.cls != cls)
+                        return;
+                    if (line.tellp() > 64) {
+                        std::printf("%s\n", line.str().c_str());
+                        line.str("   ");
+                        line.seekp(0, std::ios::end);
+                    }
+                    line << " " << smt::statsKey(field) << "=" << value;
+                },
+                stats);
+            std::printf("%s\n", line.str().c_str());
+        }
     }
     if (!options.stats_json.empty() &&
         !writeStatsJson(options.stats_json, report)) {

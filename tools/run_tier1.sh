@@ -93,8 +93,9 @@ elif [ "$suite" = conformance ]; then
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
         -L conformance
 elif [ "$suite" = service ]; then
-    # The validation-daemon gate: wire v3 negotiation properties, the
-    # fair queue, the cross-run verdict store, in-process daemon
+    # The validation-daemon gate: wire handshake properties (the daemon
+    # serves exactly v6 and rejects every other version), the fair
+    # queue, the cross-run verdict store, in-process daemon
     # integration (full-corpus parity, warm-cache, backpressure), the
     # SIGKILL chaos suite against real keq-daemon processes, and the
     # keqc --daemon degradation script (tests labelled `service`).
@@ -104,9 +105,9 @@ elif [ "$suite" = net ]; then
     # The multi-host gate: endpoint grammar + EX_USAGE diagnostics,
     # TCP/unix listener round-trips, WireChannel framing under
     # fragmentation/truncation/silence fault injection, in-process
-    # failover determinism (ledger idempotency, heartbeat, v4
-    # compatibility, full corpus over TCP), and real-binary keqc
-    # failover chaos (tests labelled `net`).
+    # failover determinism (ledger idempotency, heartbeat, typed
+    # rejects of other wire versions, full corpus over TCP), and
+    # real-binary keqc failover chaos (tests labelled `net`).
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
         -L net
 elif [ "$suite" = soak ]; then
